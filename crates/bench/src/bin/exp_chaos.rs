@@ -350,15 +350,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let snapshot = engine.snapshot()?;
     controller.publish(&snapshot)?;
-    let server = ShardedServer::start(
-        map,
-        &snapshot,
-        ServeConfig {
-            heap_k: 128,
-            max_gather_retries: 4,
-            direct_reads: true,
-        },
-    )?;
+    let server = ShardedServer::start(map, &snapshot, ServeConfig { heap_k: 128 })?;
     let client = ClusterClient::new(
         controller.addr(),
         ClientConfig {

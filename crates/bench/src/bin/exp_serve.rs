@@ -322,11 +322,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Arc::new(ShardedServer::start(
         map.clone(),
         &engine.snapshot()?,
-        ServeConfig {
-            heap_k: 128,
-            max_gather_retries: 4,
-            direct_reads: true,
-        },
+        ServeConfig { heap_k: 128 },
     )?);
 
     // Closed-loop readers: hammer until stopped, verifying every response.

@@ -43,6 +43,7 @@ use lmm_serve::{
 };
 
 use crate::error::{ClusterError, Result};
+use crate::lock_clean;
 use crate::retry::RetryPolicy;
 use crate::transport::{FaultPlan, FramedConn, TransportError, WireCounters};
 use crate::wire::Message;
@@ -52,8 +53,8 @@ use crate::wire::Message;
 pub struct ClientConfig {
     /// Connect/read/write timeout per call.
     pub io_timeout: Duration,
-    /// Free gather retries before escalating (mirrors the in-process
-    /// `ServeConfig::max_gather_retries`).
+    /// Free gather retries before escalating: a network gather can
+    /// straddle a commit, because each node flips its epoch on its own.
     pub max_gather_retries: usize,
     /// Retry discipline past the free retries: each escalation round
     /// re-fetches placement and sleeps a budgeted, jittered backoff step
@@ -148,10 +149,6 @@ pub struct ClusterClient {
     placement_evictions: AtomicU64,
     reconnects: AtomicU64,
     query_latency: LatencyHistogram,
-}
-
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Serving order for cross-shard merges: score descending, ties by id

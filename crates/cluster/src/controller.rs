@@ -59,6 +59,7 @@ use lmm_graph::sharding::ShardMap;
 use lmm_serve::{publish_grades, shard_site_range, SwapGrade};
 
 use crate::error::{ClusterError, Result};
+use crate::lock_clean;
 use crate::retry::RetryPolicy;
 use crate::transport::{FaultPlan, FramedConn, WireCounters};
 use crate::wire::{Message, NodeWireStats};
@@ -245,10 +246,6 @@ pub struct ClusterController {
     inner: Arc<ControllerInner>,
     threads: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ClusterController {

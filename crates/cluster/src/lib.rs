@@ -66,3 +66,10 @@ pub use wire::{
     decode_frame, decode_message, encode_frame, encode_message, Message, NodeWireStats, WireError,
     MAX_PAYLOAD, WIRE_VERSION,
 };
+
+/// Locks a mutex, recovering from poisoning: every mutex in this crate
+/// guards state that is swapped or edited wholesale, so a thread that
+/// panicked while holding one cannot have left it torn.
+pub(crate) fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -27,6 +27,7 @@ use lmm_graph::{DocId, SiteId};
 use lmm_serve::{DocScore, ShardState, SiteTopK, SwapGrade};
 
 use crate::error::{ClusterError, Result};
+use crate::lock_clean;
 use crate::retry::RetryPolicy;
 use crate::transport::{FaultPlan, FramedConn, TransportError, WireCounters};
 use crate::wire::{Message, NodeWireStats};
@@ -242,12 +243,6 @@ impl ShardNode {
             let _ = handle.join();
         }
     }
-}
-
-/// Locks a mutex, recovering from poisoning (node state is swapped
-/// wholesale, so a panicked peer thread cannot leave it torn).
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Registers (or rejoins) with the controller under the node's retry

@@ -170,16 +170,7 @@ fn cluster_matches_in_process_tier_across_churn() {
     assert_eq!(report.nodes, 2);
     assert!(!report.noop);
 
-    let server = ShardedServer::start(
-        map,
-        &snapshot,
-        ServeConfig {
-            heap_k: 64,
-            max_gather_retries: 2,
-            direct_reads: true,
-        },
-    )
-    .unwrap();
+    let server = ShardedServer::start(map, &snapshot, ServeConfig { heap_k: 64 }).unwrap();
 
     assert_parity(&client, &server, &snapshot, graph.n_docs(), graph.n_sites());
 
@@ -241,16 +232,7 @@ fn node_kill_evicts_fails_over_and_serving_survives() {
     controller.publish(&snapshot).unwrap();
     let (cepoch_before, rank_before) = controller.epochs();
 
-    let server = ShardedServer::start(
-        map,
-        &snapshot,
-        ServeConfig {
-            heap_k: 64,
-            max_gather_retries: 2,
-            direct_reads: true,
-        },
-    )
-    .unwrap();
+    let server = ShardedServer::start(map, &snapshot, ServeConfig { heap_k: 64 }).unwrap();
     let client = ClusterClient::new(controller.addr(), ClientConfig::default());
     assert_parity(&client, &server, &snapshot, graph.n_docs(), graph.n_sites());
 

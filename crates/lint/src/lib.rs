@@ -17,7 +17,7 @@
 //! | `panic` | [`rules::panics`] | hot-path modules (`serve/{router,shard}`, `cluster/{node,client,transport,wire,retry}`, `par`) contain no unannotated `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` |
 //! | `wire_tags` | [`rules::wire`] | tag bytes in `cluster/src/wire.rs` are unique, encode/decode arms agree, and both match the committed golden registry |
 //! | `lock_order` | [`rules::locks`] | nested `.lock()`/`.read()`/`.write()` acquisitions follow the declared per-file partial order (no deadlock-shaped inversions) |
-//! | `lock_free` | [`rules::locks`] | the declared serve read-path functions (`serve/router.rs` point reads) contain no blocking synchronization at all — no `.lock()`/`.read()`/`.write()`, no `Mutex`/`RwLock` |
+//! | `lock_free` | [`rules::locks`] | the declared serve read-path functions (`serve/router.rs` reads, cross-shard gathers included) contain no blocking synchronization at all — no `.lock()`/`.read()`/`.write()`, no `Mutex`/`RwLock` |
 //! | `relaxed` | [`rules::atomics`] | `Ordering::Relaxed` only on allowlisted counter names; epochs, flags, and shutdown bits need a stronger ordering or a reasoned annotation |
 //! | `nondet` | [`rules::det`] | the deterministic kernels (`core`, `linalg`, `rank`, `graph::delta`) never touch `Instant::now`/`SystemTime`/`RandomState` |
 //!

@@ -160,7 +160,7 @@ pub fn check_lock_free(file: &MaskedFile, path: &str, policy: &LockFreePath) -> 
                     path,
                     line,
                     format!(
-                        "`{}` inside `{}`, which is declared lock-free: point reads must \
+                        "`{}` inside `{}`, which is declared lock-free: serve reads must \
                          complete while a publisher holds (or has poisoned) the gate — go \
                          through the ArcCell snapshot instead, or remove `{}` from the \
                          lock_free list in crates/lint/src/config.rs",

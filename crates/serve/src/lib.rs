@@ -11,17 +11,16 @@
 //!                 │ (incremental)│    apply_delta  │ epoch E+1   │
 //!                 └──────────────┘                 │ + Staleness │
 //!                                                  └──────┬──────┘
-//!                                                 publish │ (shard-by-shard,
-//!                                                         ▼  rebuild or re-pin)
+//!                       publish: build every shard        │
+//!                       (rebuild / refresh / re-pin),     │
+//!                       then store the whole set once     ▼
 //!                 ┌───────────────────────────────────────────────┐
-//!                 │                ShardedServer                  │
-//!   point reads ──┼─► ArcCell load ─────────────► ShardState      │
-//!   (direct,      │      (lock-free, caller's thread)             │
-//!    lock-free)   │                                               │
-//!                 │  router ──┬── mpsc ──► worker 0 ── ArcCell    │
-//!   cross-shard   │  (scatter ├── mpsc ──► worker 1 ── ArcCell    │
-//!   gathers ────► │   gather, └── mpsc ──► worker n ── ArcCell    │
-//!   top-k/batch   │   epoch-checked, gate-escalated)              │
+//!                 │ ShardedServer: ArcCell<ServingSet>            │
+//!                 │   ServingSet { snapshot (routing),            │
+//!                 │                shards: [ShardState; n] }      │
+//!   any query ────┼─► one lock-free load ─► answer on the         │
+//!   (point, batch,│   caller's thread from that one set           │
+//!    top-k)       │   (one set = one epoch per response)          │
 //!                 └───────────────────────────────────────────────┘
 //! ```
 //!
@@ -31,24 +30,20 @@
 //!   shard invalidation sets.
 //! * **Per-shard stores** ([`ShardState`]): precomputed top-k heaps,
 //!   per-site serving orders, and score lookups over one pinned immutable
-//!   [`RankSnapshot`](lmm_engine::RankSnapshot), each held in a lock-free
-//!   [`ArcCell`] swapped atomically by the publisher.
-//! * **Direct read path**: single-shard point queries (`score`, one-shard
-//!   batches, `top_k_for_site`) answer on the **caller's thread** from a
-//!   lock-free cell load — zero mutexes, zero mpsc hops.
-//! * **Fixed worker pool**: one persistent worker per shard parked on an
-//!   mpsc queue (the `lmm-par` idiom, specialized to long-lived serving),
-//!   reserved for cross-shard scatter-gathers.
-//! * **Router**: batches point lookups per shard and scatter-gathers
-//!   cross-shard top-k from per-shard partial heaps, merging at the
-//!   router. Every response carries exactly one epoch; gathers that
-//!   straddle a swap retry, then escalate to the publish gate.
+//!   [`RankSnapshot`](lmm_engine::RankSnapshot).
+//! * **One serving set per epoch**: the routing snapshot and every shard
+//!   store live together behind one lock-free [`ArcCell`]. Every query
+//!   loads it once and answers on the **caller's thread** — zero mutexes,
+//!   zero worker hops — so every response carries exactly one epoch by
+//!   construction, cross-shard gathers included.
+//! * **Router**: routes point lookups to the owning shard and merges
+//!   cross-shard top-k from the shards' precomputed partial heaps.
 //! * **Writes never block reads** ([`ShardedServer::publish`]): a delta
 //!   produces a new snapshot + staleness set; only stale shards rebuild,
 //!   the rest re-pin their store `Arc` under the new epoch — or, after a
 //!   removal redistributed the SiteRank, *refresh* (per-site orders
 //!   reused, shard top list re-merged) — and readers keep answering
-//!   (from the old epoch) throughout the swap.
+//!   from the old set until the new one is stored whole.
 //! * **Removal is first-class**: tombstoned documents and sites answer
 //!   typed errors ([`ServeError::TombstonedDoc`] /
 //!   [`ServeError::TombstonedSite`]) instead of stale scores, and

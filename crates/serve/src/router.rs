@@ -1,61 +1,54 @@
-//! The sharded server: a lock-free direct read path for single-shard
-//! point queries, a fixed pool of shard workers fed by mpsc request
-//! queues for cross-shard gathers, and an epoch-swap publisher that never
-//! blocks reads.
+//! The sharded server: one immutable serving set per epoch, loaded
+//! lock-free by every read and answered on the caller's thread.
 //!
 //! # Concurrency design
 //!
-//! Each shard owns a **cell** ([`ArcCell<ShardState>`]) holding its
-//! current immutable state. Loading a cell is lock-free (see
-//! [`crate::cell`] for the algorithm): no mutex, no syscall, no worker
-//! wakeup — so a publish in progress never blocks a query, and a query
-//! never observes a half-built store. The routing snapshot (doc → shard)
-//! lives in its own `ArcCell` and is read the same way.
+//! The server keeps a single [`ArcCell`] holding the current
+//! **serving set**: the epoch's [`RankSnapshot`] (which also routes
+//! documents to sites, and so to shards) together with every shard's
+//! [`ShardState`] built from that same snapshot. Every query does exactly
+//! one lock-free `load()` of that cell (see [`crate::cell`] for the
+//! algorithm) and answers from the loaded set on the caller's thread: no
+//! mutex, no syscall, no worker wakeup. One loaded set is one epoch, so
+//! every response carries exactly one epoch by construction — a
+//! cross-shard gather cannot straddle a swap, and there is nothing to
+//! retry or escalate.
 //!
-//! Queries split by shape:
+//! Queries are still counted by shape, because the shapes cost different
+//! amounts:
 //!
-//! * **Direct path** (single-shard point queries — [`score`], one-shard
+//! * **Direct** (single-shard reads — [`score`], one-shard
 //!   [`score_batch`], [`top_k_for_site`], [`compare`] of co-sharded
-//!   docs): answered on the **caller's thread** against the loaded
-//!   `Arc<ShardState>`. Zero mutex acquisitions, zero mpsc sends. One
-//!   loaded state means exactly one epoch by construction.
-//! * **Fan-out path** (cross-shard gathers — [`top_k`], multi-shard
-//!   batches): scattered to the per-shard workers over mpsc and merged at
-//!   the router, because a gather wants the shards computing in parallel.
+//!   docs): one shard's store answers.
+//! * **Fan-out** (cross-shard gathers — [`top_k`], multi-shard batches):
+//!   every named shard contributes a partial, merged in place. In the
+//!   layered model those partials are the per-site DocRank orders
+//!   weighted by SiteRank, already computed at publish time, so the merge
+//!   is small and needs no parallelism.
 //!
-//! The publisher walks the shards one by one (the "shard-by-shard swap"),
-//! rebuilding the stores the snapshot's [`Staleness`] set names and
-//! re-pinning the rest, storing each cell as it goes, and stores the
-//! routing snapshot **last** — so a reader that observes routing epoch
-//! N+1 is guaranteed every cell already serves ≥ N+1 (the torn-read
-//! hazard the old two-mutex design left open; now `debug_assert`ed on
-//! every direct read).
-//!
-//! Every router-level response carries **exactly one epoch**. Direct
-//! reads get this for free. Cross-shard gathers scatter, then check that
-//! every partial answered from the same epoch; if a swap was straddled,
-//! the gather retries (the swap is short), and after `max_gather_retries`
-//! attempts it escalates: it takes the publish gate — the lock the
-//! publisher holds for the duration of a swap — so the cells are
-//! quiescent and one consistent gather is guaranteed. Escalation is the
-//! slow path by construction; the read paths take no router-level lock.
+//! The publisher takes the publish gate (it only serializes publishers;
+//! the read paths never touch it), builds every shard of the next set —
+//! rebuilding the stores the snapshot's [`Staleness`] set names, and
+//! refreshing or re-pinning the rest — and then stores the set **once**.
+//! Readers keep answering from the previous set until that store, and
+//! afterwards see the new epoch on every shard at the same instant. A
+//! publisher that panics mid-build never stores anything, so the previous
+//! set stays fully served.
 //!
 //! [`score`]: ShardedServer::score
 //! [`score_batch`]: ShardedServer::score_batch
 //! [`top_k_for_site`]: ShardedServer::top_k_for_site
 //! [`compare`]: ShardedServer::compare
 //! [`top_k`]: ShardedServer::top_k
-//! [`ArcCell<ShardState>`]: crate::cell::ArcCell
 
-use std::collections::HashMap;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::cell::ArcCell;
 use crate::error::{Result, ServeError};
-use crate::shard::{DocScore, ShardState, SiteTopK};
+use crate::shard::{serve_cmp, DocScore, ShardState, SiteTopK};
 use crate::telemetry::{ServeStats, ServeStatsSnapshot};
 use lmm_engine::{RankSnapshot, Staleness};
 use lmm_graph::sharding::ShardMap;
@@ -68,25 +61,11 @@ pub struct ServeConfig {
     /// `k` beyond it still answer (the shard falls back to a scan), they
     /// just stop being O(k).
     pub heap_k: usize,
-    /// Cross-shard gathers straddling a swap retry this many times before
-    /// escalating to the publish gate.
-    pub max_gather_retries: usize,
-    /// Answer single-shard point queries (`score`, one-shard batches,
-    /// `top_k_for_site`, co-sharded `compare`) directly on the caller's
-    /// thread from a lock-free cell load instead of hopping through the
-    /// shard worker's mpsc queue. On by default; the off position is the
-    /// measured baseline (`exp_latency` runs both in one process) and an
-    /// emergency chute, not a recommended mode.
-    pub direct_reads: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            heap_k: 64,
-            max_gather_retries: 4,
-            direct_reads: true,
-        }
+        Self { heap_k: 64 }
     }
 }
 
@@ -175,47 +154,16 @@ pub struct PublishReport {
     pub noop: bool,
 }
 
-/// What a shard worker is asked to compute.
-enum RequestKind {
-    /// Batched score lookups (the router groups point lookups per shard).
-    Scores(Vec<DocId>),
-    /// Partial top-k for a cross-shard gather.
-    TopK(usize),
-    /// Top-k within one covered site.
-    SiteTopK(SiteId, usize),
+/// One epoch's serving state: the snapshot that routes documents to
+/// shards and every shard store built from it. Immutable once stored.
+struct ServingSet {
+    snapshot: RankSnapshot,
+    shards: Vec<ShardState>,
 }
 
-/// One request on a shard worker's queue: the work plus its reply channel,
-/// so the worker never routes.
-struct ShardRequest {
-    kind: RequestKind,
-    reply: Sender<ShardReply>,
-}
-
-/// A shard worker's answer, stamped with the epoch it answered from.
-enum ShardReply {
-    Scores {
-        epoch: u64,
-        scores: Vec<DocScore>,
-    },
-    Top {
-        epoch: u64,
-        entries: Vec<(DocId, f64)>,
-        scanned: bool,
-    },
-    SiteTop {
-        epoch: u64,
-        entries: SiteTopK,
-    },
-}
-
-impl ShardReply {
+impl ServingSet {
     fn epoch(&self) -> u64 {
-        match self {
-            ShardReply::Scores { epoch, .. }
-            | ShardReply::Top { epoch, .. }
-            | ShardReply::SiteTop { epoch, .. } => *epoch,
-        }
+        self.snapshot.epoch()
     }
 }
 
@@ -227,19 +175,12 @@ impl ShardReply {
 /// [`publish`](ShardedServer::publish).
 pub struct ShardedServer {
     map: ShardMap,
-    /// Per-shard lock-free state cells, shared with the shard workers.
-    cells: Vec<Arc<ArcCell<ShardState>>>,
-    queues: Vec<Sender<ShardRequest>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Snapshot used only for routing decisions (doc → shard); stored
-    /// **after** every cell during a publish, so routing epoch N+1 implies
-    /// every cell serves ≥ N+1 (the direct-read coherence invariant).
-    routing: ArcCell<RankSnapshot>,
-    /// The publish gate: guards the serving epoch and is held for the whole
-    /// shard-by-shard swap, giving escalated gathers a quiescent view. The
-    /// read paths never touch it.
-    gate: Mutex<u64>,
-    stats: Arc<ServeStats>,
+    /// The current serving set, replaced wholesale once per epoch.
+    set: ArcCell<ServingSet>,
+    /// The publish gate: serializes publishers. The read paths never
+    /// touch it.
+    gate: Mutex<()>,
+    stats: ServeStats,
     config: ServeConfig,
 }
 
@@ -254,8 +195,7 @@ impl std::fmt::Debug for ShardedServer {
 }
 
 impl ShardedServer {
-    /// Builds every shard store from `snapshot`, spawns one worker per
-    /// shard, and starts serving.
+    /// Builds every shard store from `snapshot` and starts serving.
     ///
     /// # Errors
     /// Returns [`ServeError::InvalidConfig`] when `heap_k` is zero or the
@@ -275,63 +215,20 @@ impl ShardedServer {
                 ),
             });
         }
-        let n_shards = map.n_shards();
-        let stats = Arc::new(ServeStats::default());
-        let mut cells = Vec::with_capacity(n_shards);
-        let mut queues = Vec::with_capacity(n_shards);
-        let mut workers = Vec::with_capacity(n_shards);
-        for shard in 0..n_shards {
-            let sites = shard_site_range(&map, shard, snapshot.n_sites());
-            let state = Arc::new(ShardState::build(snapshot, sites, config.heap_k));
-            let cell = Arc::new(ArcCell::new(state));
-            let (tx, rx) = mpsc::channel::<ShardRequest>();
-            let worker_cell = Arc::clone(&cell);
-            let handle = std::thread::Builder::new()
-                .name(format!("lmm-serve-{shard}"))
-                .spawn(move || {
-                    // The worker parks on its queue and exits when the
-                    // server drops the sender — the lmm-par idiom of
-                    // persistent workers on a channel, specialized to one
-                    // owner per queue.
-                    while let Ok(ShardRequest { kind, reply }) = rx.recv() {
-                        let state = worker_cell.load();
-                        let answer = match kind {
-                            RequestKind::Scores(docs) => ShardReply::Scores {
-                                epoch: state.epoch(),
-                                scores: docs.iter().map(|&d| state.score(d)).collect(),
-                            },
-                            RequestKind::TopK(k) => {
-                                let (entries, from_heap) = state.top_k(k);
-                                ShardReply::Top {
-                                    epoch: state.epoch(),
-                                    entries,
-                                    scanned: !from_heap,
-                                }
-                            }
-                            RequestKind::SiteTopK(site, k) => ShardReply::SiteTop {
-                                epoch: state.epoch(),
-                                entries: state.site_top_k(site, k),
-                            },
-                        };
-                        let _ = reply.send(answer);
-                    }
-                })
-                .map_err(|e| ServeError::WorkerSpawn {
-                    shard,
-                    reason: e.to_string(),
-                })?;
-            cells.push(cell);
-            queues.push(tx);
-            workers.push(handle);
-        }
+        let shards = (0..map.n_shards())
+            .map(|shard| {
+                let sites = shard_site_range(&map, shard, snapshot.n_sites());
+                ShardState::build(snapshot, sites, config.heap_k)
+            })
+            .collect();
         Ok(Self {
             map,
-            cells,
-            queues,
-            workers,
-            routing: ArcCell::new(Arc::new(snapshot.clone())),
-            gate: Mutex::new(snapshot.epoch()),
-            stats,
+            set: ArcCell::new(Arc::new(ServingSet {
+                snapshot: snapshot.clone(),
+                shards,
+            })),
+            gate: Mutex::new(()),
+            stats: ServeStats::default(),
             config,
         })
     }
@@ -339,40 +236,32 @@ impl ShardedServer {
     /// Number of shards.
     #[must_use]
     pub fn n_shards(&self) -> usize {
-        self.cells.len()
+        self.map.n_shards()
     }
 
-    /// The epoch currently being published to (reads may still answer from
-    /// the previous epoch while a swap is in flight). Reading the epoch is
-    /// safe even after a publisher panic poisoned the gate — the `u64`
-    /// itself cannot be torn — so this recovers instead of failing.
+    /// The epoch currently served: a publish in flight becomes visible
+    /// only when it completes. Lock-free, so it keeps answering after a
+    /// publisher panic poisoned the gate.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        *self
-            .gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.set.load().epoch()
     }
 
-    /// The routing snapshot's epoch — always ≤ every cell's serving epoch
-    /// (cells are stored first during a publish). Exposed for the
-    /// coherence regression tests; not part of the stable API.
+    /// The routing epoch and every shard's epoch, read from **one** load
+    /// of the serving set — they are always equal. Exposed for the
+    /// single-load regression tests; not part of the stable API.
     #[doc(hidden)]
     #[must_use]
-    pub fn routing_epoch(&self) -> u64 {
-        self.routing.load().epoch()
-    }
-
-    /// The epoch shard `shard` currently serves. Exposed for the coherence
-    /// regression tests; not part of the stable API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.cells[shard].load().epoch()
+    pub fn serving_epochs(&self) -> (u64, Vec<u64>) {
+        let set = self.set.load();
+        (
+            set.epoch(),
+            set.shards.iter().map(ShardState::epoch).collect(),
+        )
     }
 
     /// The server's telemetry counters, plus the live per-shard document
-    /// counts (read from the currently pinned stores) — the skew signal a
+    /// counts (read from the currently served set) — the skew signal a
     /// rebalancer watches: removal drains shards in place and growth piles
     /// into the last one, so
     /// [`doc_skew`](crate::ServeStatsSnapshot::doc_skew) drifting from 1.0
@@ -381,36 +270,39 @@ impl ShardedServer {
     pub fn stats(&self) -> ServeStatsSnapshot {
         let mut snapshot = self.stats.snapshot();
         snapshot.shard_docs = self
-            .cells
+            .set
+            .load()
+            .shards
             .iter()
-            .map(|cell| cell.load().n_docs() as u64)
+            .map(|shard| shard.n_docs() as u64)
             .collect();
         snapshot
     }
 
-    /// Swaps in a fresh snapshot, shard by shard, without ever blocking
-    /// readers: shards whose sites the snapshot's [`Staleness`] set names
-    /// rebuild their stores; every other shard re-pins its existing store
-    /// `Arc` against the new epoch — or, after a removal
-    /// ([`Staleness::Resized`]), **refreshes**: the per-site orders are
-    /// reused and only the shard top list re-merges under the
-    /// redistributed scores. A snapshot that skipped epochs (the publisher
-    /// missed one) conservatively rebuilds everything, since its staleness
-    /// set only describes the last step.
+    /// Swaps in a fresh snapshot without ever blocking readers: shards
+    /// whose sites the snapshot's [`Staleness`] set names rebuild their
+    /// stores; every other shard re-pins its existing store against the
+    /// new epoch — or, after a removal ([`Staleness::Resized`]),
+    /// **refreshes**: the per-site orders are reused and only the shard
+    /// top list re-merges under the redistributed scores. A snapshot that
+    /// skipped epochs (the publisher missed one) conservatively rebuilds
+    /// everything, since its staleness set only describes the last step.
+    /// The new set is stored once, after every shard is built.
     ///
     /// # Errors
     /// Returns [`ServeError::StaleSnapshot`] when the snapshot's epoch is
     /// older than the serving epoch, and [`ServeError::PublishPoisoned`]
-    /// when a previous publisher panicked mid-swap. Re-publishing the
+    /// when a previous publisher panicked mid-build. Re-publishing the
     /// serving epoch is a no-op, not an error.
     pub fn publish(&self, snapshot: &RankSnapshot) -> Result<PublishReport> {
         self.publish_paced(snapshot, &|_| {})
     }
 
     /// [`publish`](Self::publish) with a pacing hook invoked after each
-    /// shard cell swap — lets tests construct deterministic straddling
-    /// interleavings (a gather racing a half-done swap, a direct read
-    /// while the gate is held). Not part of the stable API.
+    /// shard of the new set is built, before the set is stored — lets
+    /// tests hold a publish mid-build deterministically (reads racing a
+    /// paused publish, a publisher dying mid-build). Not part of the
+    /// stable API.
     ///
     /// # Errors
     /// As [`publish`](Self::publish).
@@ -418,54 +310,56 @@ impl ShardedServer {
     pub fn publish_paced(
         &self,
         snapshot: &RankSnapshot,
-        swapped: &dyn Fn(usize),
+        built: &dyn Fn(usize),
     ) -> Result<PublishReport> {
-        let mut serving = self.gate.lock().map_err(|_| ServeError::PublishPoisoned)?;
-        if snapshot.epoch() < *serving {
+        let _gate = self.gate.lock().map_err(|_| ServeError::PublishPoisoned)?;
+        // Only gate holders store, so this load is the serving set.
+        let current = self.set.load();
+        let serving = current.epoch();
+        if snapshot.epoch() < serving {
             return Err(ServeError::StaleSnapshot {
                 published: snapshot.epoch(),
-                serving: *serving,
+                serving,
             });
         }
         ServeStats::bump(&self.stats.publishes);
-        if snapshot.epoch() == *serving {
+        if snapshot.epoch() == serving {
             return Ok(PublishReport {
-                epoch: *serving,
+                epoch: serving,
                 shards_rebuilt: 0,
                 shards_repinned: 0,
                 shards_refreshed: 0,
                 noop: true,
             });
         }
-        let grades = publish_grades(&self.map, *serving, snapshot);
+        let grades = publish_grades(&self.map, serving, snapshot);
         let mut rebuilt = 0usize;
         let mut repinned = 0usize;
         let mut refreshed = 0usize;
-        for (shard, (cell, grade)) in self.cells.iter().zip(&grades).enumerate() {
-            let next = match grade {
+        let mut shards = Vec::with_capacity(grades.len());
+        for (shard, (old, grade)) in current.shards.iter().zip(&grades).enumerate() {
+            shards.push(match grade {
                 SwapGrade::Rebuild => {
                     rebuilt += 1;
                     let sites = shard_site_range(&self.map, shard, snapshot.n_sites());
-                    Arc::new(ShardState::build(snapshot, sites, self.config.heap_k))
+                    ShardState::build(snapshot, sites, self.config.heap_k)
                 }
                 SwapGrade::Refresh => {
                     refreshed += 1;
-                    Arc::new(cell.load().refresh(snapshot, self.config.heap_k))
+                    old.refresh(snapshot, self.config.heap_k)
                 }
                 SwapGrade::Repin => {
                     repinned += 1;
-                    Arc::new(cell.load().repin(snapshot))
+                    old.repin(snapshot)
                 }
-            };
-            // The swap itself: lock-free, readers never blocked.
-            cell.store(next);
-            swapped(shard);
+            });
+            built(shard);
         }
-        // Routing is stored strictly after every cell: a reader that
-        // observes routing epoch N+1 therefore finds every cell at ≥ N+1
-        // (the direct path's coherence invariant).
-        self.routing.store(Arc::new(snapshot.clone()));
-        *serving = snapshot.epoch();
+        // The swap itself: one lock-free store, readers never blocked.
+        self.set.store(Arc::new(ServingSet {
+            snapshot: snapshot.clone(),
+            shards,
+        }));
         ServeStats::add(&self.stats.shards_rebuilt, rebuilt as u64);
         ServeStats::add(&self.stats.shards_repinned, repinned as u64);
         ServeStats::add(&self.stats.shards_refreshed, refreshed as u64);
@@ -478,62 +372,32 @@ impl ShardedServer {
         })
     }
 
-    /// Records a completed direct-path query (caller-thread, lock-free).
+    /// Records a completed single-shard query.
     fn finish_direct(&self, start: Instant) {
         ServeStats::bump(&self.stats.direct_hits);
         self.stats.direct_latency.record(start.elapsed());
     }
 
-    /// Records a completed fan-out query (worker scatter-gather).
+    /// Records a completed cross-shard gather.
     fn finish_fanout(&self, start: Instant) {
         ServeStats::bump(&self.stats.fanout_queries);
         self.stats.fanout_latency.record(start.elapsed());
     }
 
-    /// Loads shard `shard`'s state for a direct read, asserting the
-    /// coherence invariant against the routing epoch the caller routed
-    /// with: because a publish stores every cell before the routing
-    /// snapshot, a cell can never lag the routing that named it.
-    fn load_coherent(&self, shard: usize, routing_epoch: u64) -> Arc<ShardState> {
-        let state = self.cells[shard].load();
-        debug_assert!(
-            state.epoch() >= routing_epoch,
-            "epoch coherence violated: routed at epoch {routing_epoch}, \
-             shard {shard} still serving {}",
-            state.epoch()
-        );
-        state
-    }
-
-    /// Global score of one document: routed to the shard owning its site
-    /// and — on the direct path — answered on the calling thread from the
-    /// shard's loaded state, with zero locks and zero mpsc hops.
+    /// Global score of one document, answered by the shard owning its
+    /// site.
     ///
     /// # Errors
     /// [`ServeError::UnknownDoc`] when the answering epoch never ranked
     /// the document; [`ServeError::TombstonedDoc`] when the document was
-    /// removed (stale scores are never served for the dead);
-    /// [`ServeError::ShardDown`] during shutdown.
+    /// removed (stale scores are never served for the dead).
     pub fn score(&self, doc: DocId) -> Result<(u64, f64)> {
         ServeStats::bump(&self.stats.score_queries);
         let start = Instant::now();
-        let (epoch, score) = if self.config.direct_reads {
-            let routing = self.routing.load();
-            let shard = self.shard_of_doc_in(&routing, doc);
-            let state = self.load_coherent(shard, routing.epoch());
-            let answer = (state.epoch(), state.score(doc));
-            self.finish_direct(start);
-            answer
-        } else {
-            let shard = self.shard_of_doc(doc);
-            let reply = self.request(shard, RequestKind::Scores(vec![doc]))?;
-            let ShardReply::Scores { epoch, scores } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("scores request answered with a different reply kind");
-            };
-            self.finish_fanout(start);
-            (epoch, scores[0])
-        };
+        let set = self.set.load();
+        let score = set.shards[self.shard_of_doc(&set, doc)].score(doc);
+        self.finish_direct(start);
+        let epoch = set.epoch();
         self.doc_score_to_result(score, doc, epoch)
             .map(|score| (epoch, score))
     }
@@ -556,83 +420,78 @@ impl ShardedServer {
         }
     }
 
-    /// Batched score lookups: grouped per shard and reassembled in input
-    /// order, all answered from **one** epoch. A batch that lands entirely
-    /// in one shard takes the direct path; a cross-shard batch
-    /// scatter-gathers through the workers (the gather retries across
-    /// swaps).
+    /// Batched score lookups, in input order, all answered from **one**
+    /// epoch. A batch that lands in one shard counts as a direct hit; a
+    /// cross-shard batch counts as a fan-out.
     ///
     /// # Errors
-    /// [`ServeError::UnknownDoc`] when the answering epoch does not rank
-    /// some document; [`ServeError::ShardDown`] during shutdown.
+    /// [`ServeError::UnknownDoc`] / [`ServeError::TombstonedDoc`] for the
+    /// first document in input order the answering epoch cannot score.
     pub fn score_batch(&self, docs: &[DocId]) -> Result<(u64, Vec<f64>)> {
         ServeStats::bump(&self.stats.batch_queries);
         self.score_batch_inner(docs, Instant::now())
     }
 
-    /// Global top-`k`: per-shard partial heaps scatter-gathered and merged
-    /// at the router, epoch-consistent. Always the fan-out path — a
-    /// cross-shard gather wants the shards computing in parallel.
+    /// Global top-`k`: every shard's precomputed partial, merged on the
+    /// caller's thread from one serving set.
     ///
     /// # Errors
-    /// [`ServeError::ShardDown`] during shutdown.
+    /// Never fails; the `Result` keeps the query API uniform with the
+    /// cluster client's.
     pub fn top_k(&self, k: usize) -> Result<(u64, Vec<(DocId, f64)>)> {
         ServeStats::bump(&self.stats.top_k_queries);
         let start = Instant::now();
-        let shards: Vec<usize> = (0..self.n_shards()).collect();
-        let (epoch, replies) = self.consistent_gather(&shards, |_| RequestKind::TopK(k))?;
-        self.finish_fanout(start);
-        let mut merged: Vec<(DocId, f64)> = Vec::with_capacity(k.saturating_mul(2));
-        for reply in replies {
-            let ShardReply::Top {
-                entries, scanned, ..
-            } = reply
-            else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("top-k request answered with a different reply kind");
-            };
-            if scanned {
-                ServeStats::bump(&self.stats.heap_overflow_scans);
+        let set = self.set.load();
+        // Every shard of a set is pinned to the set's snapshot, so its
+        // scores rank every partial.
+        let scores = set.snapshot.scores();
+        let entry = |doc: DocId| (doc, scores[doc.index()]);
+        // Each partial is already in serving order: a k-way merge over
+        // the shards' heads yields the global order without a sort.
+        let mut partials: Vec<(Cow<'_, [DocId]>, usize)> = set
+            .shards
+            .iter()
+            .map(|shard| {
+                let (order, from_heap) = shard.top_order(k);
+                if !from_heap {
+                    ServeStats::bump(&self.stats.heap_overflow_scans);
+                }
+                (order, 0)
+            })
+            .collect();
+        let available: usize = partials.iter().map(|(order, _)| order.len()).sum();
+        let mut merged = Vec::with_capacity(k.min(available));
+        while merged.len() < k {
+            let mut best: Option<(usize, (DocId, f64))> = None;
+            for (i, (order, head)) in partials.iter().enumerate() {
+                if let Some(&doc) = order.get(*head) {
+                    let candidate = entry(doc);
+                    if best.is_none_or(|(_, b)| serve_cmp(&candidate, &b) == Ordering::Less) {
+                        best = Some((i, candidate));
+                    }
+                }
             }
-            merged.extend(entries);
+            let Some((i, next)) = best else { break };
+            merged.push(next);
+            partials[i].1 += 1;
         }
-        merged.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                // lint: allow(panic, "scores come from a stochastic-matrix power iteration and are finite by construction; a NaN here means the kernel itself is broken")
-                .expect("ranking scores are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        merged.truncate(k);
-        Ok((epoch, merged))
+        self.finish_fanout(start);
+        Ok((set.epoch(), merged))
     }
 
-    /// Top-`k` within one site: routed to the owning shard's precomputed
-    /// per-site ranking — on the direct path, straight off the loaded
-    /// shard state.
+    /// Top-`k` within one site, straight off the owning shard's
+    /// precomputed per-site ranking.
     ///
     /// # Errors
     /// [`ServeError::UnknownSite`] when the answering epoch never ranked
-    /// the site; [`ServeError::TombstonedSite`] when the site was removed;
-    /// [`ServeError::ShardDown`] during shutdown.
+    /// the site; [`ServeError::TombstonedSite`] when the site was removed.
     pub fn top_k_for_site(&self, site: SiteId, k: usize) -> Result<(u64, Vec<(DocId, f64)>)> {
         ServeStats::bump(&self.stats.site_top_k_queries);
         let start = Instant::now();
-        let shard = self.map.shard_of_site(site);
-        let (epoch, entries) = if self.config.direct_reads {
-            let routing_epoch = self.routing.load().epoch();
-            let state = self.load_coherent(shard, routing_epoch);
-            let answer = (state.epoch(), state.site_top_k(site, k));
-            self.finish_direct(start);
-            answer
-        } else {
-            let reply = self.request(shard, RequestKind::SiteTopK(site, k))?;
-            let ShardReply::SiteTop { epoch, entries } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("site top-k request answered with a different reply kind");
-            };
-            self.finish_fanout(start);
-            (epoch, entries)
-        };
+        let set = self.set.load();
+        let entries = set.shards[self.map.shard_of_site(site)].site_top_k(site, k);
+        self.finish_direct(start);
+        let epoch = set.epoch();
         match entries {
             SiteTopK::Entries(e) => Ok((epoch, e)),
             SiteTopK::Tombstoned => {
@@ -650,12 +509,12 @@ impl ShardedServer {
     }
 
     /// Compares two documents at one epoch: `Greater` means `a` outranks
-    /// `b`. Co-sharded documents compare on the direct path.
+    /// `b`. Co-sharded documents count as a direct hit.
     ///
     /// # Errors
     /// [`ServeError::UnknownDoc`] when the answering epoch does not rank
-    /// either document; [`ServeError::ShardDown`] during shutdown.
-    pub fn compare(&self, a: DocId, b: DocId) -> Result<(u64, std::cmp::Ordering)> {
+    /// either document.
+    pub fn compare(&self, a: DocId, b: DocId) -> Result<(u64, Ordering)> {
         ServeStats::bump(&self.stats.compare_queries);
         let (epoch, scores) = self.score_batch_inner(&[a, b], Instant::now())?;
         let order = scores[0]
@@ -668,154 +527,43 @@ impl ShardedServer {
         Ok((epoch, order))
     }
 
-    /// Shard owning a document, per the given routing snapshot. Documents
-    /// beyond the routing snapshot (appended by a delta racing this
-    /// lookup) fall into the last shard, which absorbs growth by
+    /// Shard owning a document, per the set's routing snapshot. Documents
+    /// beyond it fall into the last shard, which absorbs growth by
     /// construction.
-    fn shard_of_doc_in(&self, routing: &RankSnapshot, doc: DocId) -> usize {
-        match routing.site_assignments().get(doc.index()) {
+    fn shard_of_doc(&self, set: &ServingSet, doc: DocId) -> usize {
+        match set.snapshot.site_assignments().get(doc.index()) {
             Some(&site) => self.map.shard_of_site(site),
             None => self.n_shards() - 1,
         }
     }
 
-    /// Shard owning a document, per the current routing snapshot.
-    fn shard_of_doc(&self, doc: DocId) -> usize {
-        let routing = self.routing.load();
-        self.shard_of_doc_in(&routing, doc)
-    }
-
     fn score_batch_inner(&self, docs: &[DocId], start: Instant) -> Result<(u64, Vec<f64>)> {
-        if docs.is_empty() {
-            // Answer at the routing epoch: lock-free, and within one swap
-            // of the serving epoch by the publish ordering.
-            return Ok((self.routing.load().epoch(), Vec::new()));
-        }
-        // Group lookups per shard (the batching), remembering positions.
-        // One routing load for the whole batch — lock-free.
-        let routing = self.routing.load();
-        let mut per_shard: HashMap<usize, (Vec<DocId>, Vec<usize>)> = HashMap::new();
-        for (pos, &doc) in docs.iter().enumerate() {
-            let entry = per_shard
-                .entry(self.shard_of_doc_in(&routing, doc))
-                .or_default();
-            entry.0.push(doc);
-            entry.1.push(pos);
-        }
-        // The whole batch lands in one shard: answer it directly on this
-        // thread. One loaded state = one epoch, no gather needed. (The
-        // `if let` can only miss when the map is empty, which the guard
-        // above rules out; falling through to the gather stays correct.)
-        if self.config.direct_reads && per_shard.len() == 1 {
-            if let Some(&shard) = per_shard.keys().next() {
-                let state = self.load_coherent(shard, routing.epoch());
-                let epoch = state.epoch();
-                self.finish_direct(start);
-                let mut out = Vec::with_capacity(docs.len());
-                for &doc in docs {
-                    out.push(self.doc_score_to_result(state.score(doc), doc, epoch)?);
-                }
-                return Ok((epoch, out));
-            }
-        }
-        drop(routing);
-        let shards: Vec<usize> = {
-            let mut s: Vec<usize> = per_shard.keys().copied().collect();
-            s.sort_unstable();
-            s
+        let set = self.set.load();
+        let epoch = set.epoch();
+        let Some(&first) = docs.first() else {
+            return Ok((epoch, Vec::new()));
         };
-        let (epoch, replies) = self.consistent_gather(&shards, |shard| {
-            RequestKind::Scores(per_shard[&shard].0.clone())
-        })?;
-        self.finish_fanout(start);
-        let mut out = vec![0.0f64; docs.len()];
-        for (&shard, reply) in shards.iter().zip(replies) {
-            let ShardReply::Scores { scores, .. } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("scores request answered with a different reply kind");
-            };
-            for (&pos, score) in per_shard[&shard].1.iter().zip(scores) {
-                out[pos] = self.doc_score_to_result(score, docs[pos], epoch)?;
-            }
+        let first_shard = self.shard_of_doc(&set, first);
+        let mut cross_shard = false;
+        let scores: Vec<DocScore> = docs
+            .iter()
+            .map(|&doc| {
+                let shard = self.shard_of_doc(&set, doc);
+                cross_shard |= shard != first_shard;
+                set.shards[shard].score(doc)
+            })
+            .collect();
+        if cross_shard {
+            self.finish_fanout(start);
+        } else {
+            self.finish_direct(start);
         }
+        let out = docs
+            .iter()
+            .zip(scores)
+            .map(|(&doc, score)| self.doc_score_to_result(score, doc, epoch))
+            .collect::<Result<Vec<f64>>>()?;
         Ok((epoch, out))
-    }
-
-    /// Sends one request to one shard worker and waits for its reply.
-    fn request(&self, shard: usize, kind: RequestKind) -> Result<ShardReply> {
-        let (reply, rx) = mpsc::channel();
-        self.queues[shard]
-            .send(ShardRequest { kind, reply })
-            .map_err(|_| ServeError::ShardDown { shard })?;
-        rx.recv().map_err(|_| ServeError::ShardDown { shard })
-    }
-
-    /// Scatters one request (built by `make`) to each listed shard and
-    /// collects the replies **in shard order**, retrying (then escalating
-    /// to the publish gate) until every reply carries the same epoch.
-    fn consistent_gather(
-        &self,
-        shards: &[usize],
-        mut make: impl FnMut(usize) -> RequestKind,
-    ) -> Result<(u64, Vec<ShardReply>)> {
-        if shards.is_empty() {
-            return Ok((self.epoch(), Vec::new()));
-        }
-        let mut scatter = |gate_held: bool| -> Result<(bool, u64, Vec<ShardReply>)> {
-            // One reply channel per shard keeps the pairing exact no
-            // matter the completion order.
-            let mut pending = Vec::with_capacity(shards.len());
-            for &shard in shards {
-                let (reply, rx) = mpsc::channel();
-                self.queues[shard]
-                    .send(ShardRequest {
-                        kind: make(shard),
-                        reply,
-                    })
-                    .map_err(|_| ServeError::ShardDown { shard })?;
-                pending.push((shard, rx));
-            }
-            let mut replies = Vec::with_capacity(shards.len());
-            for (shard, rx) in pending {
-                replies.push(rx.recv().map_err(|_| ServeError::ShardDown { shard })?);
-            }
-            let epoch = replies[0].epoch();
-            let consistent = replies.iter().all(|r| r.epoch() == epoch);
-            debug_assert!(!gate_held || consistent, "cells moved under the gate");
-            Ok((consistent, epoch, replies))
-        };
-        if shards.len() <= 1 {
-            let (_, epoch, replies) = scatter(false)?;
-            return Ok((epoch, replies));
-        }
-        for _ in 0..=self.config.max_gather_retries {
-            let (consistent, epoch, replies) = scatter(false)?;
-            if consistent {
-                return Ok((epoch, replies));
-            }
-            ServeStats::bump(&self.stats.gather_retries);
-        }
-        // Escalate: hold the publish gate so no swap can run, guaranteeing
-        // one consistent pass. Counted before the lock so observers can
-        // see the escalation while it blocks on an in-flight swap. A
-        // poisoned gate (publisher panicked mid-swap) degrades to a typed
-        // error instead of propagating the panic into the reader.
-        ServeStats::bump(&self.stats.gate_escalations);
-        let _quiesce: MutexGuard<'_, u64> =
-            self.gate.lock().map_err(|_| ServeError::PublishPoisoned)?;
-        let (_, epoch, replies) = scatter(true)?;
-        Ok((epoch, replies))
-    }
-}
-
-impl Drop for ShardedServer {
-    fn drop(&mut self) {
-        // Closing the queues wakes every worker with `Err`; join so no
-        // worker outlives the cells it reads.
-        self.queues.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -866,6 +614,11 @@ mod tests {
             top,
             vec![(DocId(2), 0.20), (DocId(6), 0.18), (DocId(3), 0.15)]
         );
+        // Beyond the precomputed lists every shard scans; the merge is
+        // unchanged.
+        let narrow = server_with(ServeConfig { heap_k: 1 });
+        assert_eq!(narrow.top_k(3).unwrap(), (1, top));
+        assert_eq!(narrow.stats().heap_overflow_scans, 2);
         let (_, score) = srv.score(DocId(5)).unwrap();
         assert_eq!(score, 0.12);
         let (_, site_top) = srv.top_k_for_site(SiteId(1), 1).unwrap();
@@ -879,44 +632,46 @@ mod tests {
 
     #[test]
     fn direct_and_fanout_paths_answer_identically() {
-        let direct = server();
-        let fanout = server_with(ServeConfig {
-            direct_reads: false,
-            ..ServeConfig::default()
-        });
-        assert_eq!(
-            direct.score(DocId(5)).unwrap(),
-            fanout.score(DocId(5)).unwrap()
-        );
-        assert_eq!(
-            direct.top_k_for_site(SiteId(1), 2).unwrap(),
-            fanout.top_k_for_site(SiteId(1), 2).unwrap()
-        );
-        // Docs 0 and 1 share site 0 → one shard → direct-eligible batch.
+        let srv = server();
+        // Every document scored alone (direct) equals its entry in one
+        // cross-shard batch (fan-out) at the same epoch.
+        let all: Vec<DocId> = (0..8).map(DocId).collect();
+        let (epoch, batch) = srv.score_batch(&all).unwrap();
+        for (&doc, &score) in all.iter().zip(&batch) {
+            assert_eq!(srv.score(doc).unwrap(), (epoch, score));
+        }
+        // Docs 0 and 1 share site 0 → one shard → a direct batch.
         let one_shard = [DocId(0), DocId(1)];
         assert_eq!(
-            direct.score_batch(&one_shard).unwrap(),
-            fanout.score_batch(&one_shard).unwrap()
+            srv.score_batch(&one_shard).unwrap(),
+            (epoch, batch[..2].to_vec())
+        );
+        // The per-site tops (direct), merged, are the global top (fan-out).
+        let (_, top) = srv.top_k(8).unwrap();
+        let mut merged: Vec<(DocId, f64)> = (0..4)
+            .flat_map(|s| srv.top_k_for_site(SiteId(s), 2).unwrap().1)
+            .collect();
+        merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        assert_eq!(top, merged);
+        // Co-sharded (direct) and cross-shard (fan-out) compares agree
+        // with the scores.
+        assert_eq!(
+            srv.compare(DocId(2), DocId(3)).unwrap(),
+            (epoch, std::cmp::Ordering::Greater)
         );
         assert_eq!(
-            direct.compare(DocId(2), DocId(3)).unwrap(),
-            fanout.compare(DocId(2), DocId(3)).unwrap()
+            srv.compare(DocId(2), DocId(6)).unwrap(),
+            (epoch, std::cmp::Ordering::Greater)
         );
-        let d = direct.stats();
-        assert_eq!(d.direct_hits, 4);
-        assert_eq!(d.fanout_queries, 0);
-        assert_eq!(d.direct_latency.count(), 4);
-        let f = fanout.stats();
-        assert_eq!(f.direct_hits, 0);
-        assert_eq!(f.fanout_queries, 4);
-        assert_eq!(f.fanout_latency.count(), 4);
-        // A cross-shard batch fans out even with direct reads on.
-        let cross = [DocId(0), DocId(7)];
-        assert_eq!(
-            direct.score_batch(&cross).unwrap(),
-            fanout.score_batch(&cross).unwrap()
-        );
-        assert_eq!(direct.stats().fanout_queries, 1);
+        // 8 scores + 1 one-shard batch + 4 site tops + 1 co-sharded
+        // compare; 1 cross-shard batch + 1 top_k + 1 cross-shard compare.
+        let stats = srv.stats();
+        assert_eq!(stats.direct_hits, 14);
+        assert_eq!(stats.direct_latency.count(), 14);
+        assert_eq!(stats.fanout_queries, 3);
+        assert_eq!(stats.fanout_latency.count(), 3);
+        assert_eq!(stats.gather_retries, 0);
+        assert_eq!(stats.gate_escalations, 0);
     }
 
     #[test]
@@ -1020,25 +775,21 @@ mod tests {
     #[test]
     fn poisoned_gate_degrades_to_typed_errors() {
         let srv = server();
-        // Poison the publish gate: a publisher panics while holding it.
-        let poisoner = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = srv.gate.lock().expect("gate still clean");
-                panic!("publisher died mid-swap");
-            })
-            .join()
-        });
+        // Poison the publish gate: a publisher panics mid-build, holding it.
+        let snap = snapshot(2, base_scores(), Staleness::Full);
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            srv.publish_paced(&snap, &|_| panic!("publisher died mid-build"))
+        }));
         assert!(poisoner.is_err(), "the poisoner must have panicked");
-        // Readers keep answering — the direct path never touches the gate
-        // and the worker path only takes it on escalation — and the epoch
-        // read recovers (a u64 cannot be torn).
+        assert!(srv.gate.is_poisoned());
+        // Readers keep answering — no read path touches the gate — and
+        // so does the epoch read, which loads the serving set.
         assert_eq!(srv.epoch(), 1);
         let (_, score) = srv.score(DocId(5)).unwrap();
         assert_eq!(score, 0.12);
-        let (_, top) = srv.top_k(2).unwrap();
-        assert_eq!(top.len(), 2);
+        let (epoch, top) = srv.top_k(2).unwrap();
+        assert_eq!((epoch, top.len()), (1, 2));
         // Publishing fails typed instead of propagating the panic.
-        let snap = snapshot(2, base_scores(), Staleness::Full);
         assert!(matches!(
             srv.publish(&snap),
             Err(ServeError::PublishPoisoned)
@@ -1052,14 +803,17 @@ mod tests {
         for epoch in 2..6 {
             let snap = snapshot(epoch, base_scores(), Staleness::Full);
             srv.publish_paced(&snap, &|_| {
-                // Mid-swap: cells may already be ahead, routing must not be.
-                let routed = srv.routing_epoch();
-                for shard in 0..srv.n_shards() {
-                    assert!(srv.shard_epoch(shard) >= routed);
-                }
+                // Mid-build: routing and every shard still serve the
+                // previous set, together.
+                let (routed, shards) = srv.serving_epochs();
+                assert_eq!(routed, epoch - 1);
+                assert!(shards.iter().all(|&e| e == routed));
+                assert_eq!(srv.top_k(8).unwrap().0, epoch - 1);
             })
             .unwrap();
-            assert_eq!(srv.routing_epoch(), epoch);
+            let (routed, shards) = srv.serving_epochs();
+            assert_eq!(routed, epoch);
+            assert_eq!(shards, vec![epoch; srv.n_shards()]);
         }
     }
 

@@ -21,6 +21,7 @@
 //! [`Staleness::Resized`]: lmm_engine::Staleness::Resized
 //! [`Staleness::Sites`]: lmm_engine::Staleness::Sites
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -32,7 +33,7 @@ use lmm_graph::{DocId, SiteId};
 /// Orders documents for serving: score descending, ties broken by id
 /// ascending — the exact order `Ranking::order` uses, so serve-tier
 /// results are bitwise comparable with engine-cache results.
-fn serve_cmp(a: &(DocId, f64), b: &(DocId, f64)) -> Ordering {
+pub(crate) fn serve_cmp(a: &(DocId, f64), b: &(DocId, f64)) -> Ordering {
     b.1.partial_cmp(&a.1)
         // lint: allow(panic, "scores come from a stochastic-matrix power iteration and are finite by construction; a NaN here means the kernel itself is broken")
         .expect("ranking scores are finite")
@@ -297,19 +298,25 @@ impl ShardState {
     /// the shard fell back to a full scan).
     #[must_use]
     pub fn top_k(&self, k: usize) -> (Vec<(DocId, f64)>, bool) {
-        let data = &self.data;
+        let (order, from_heap) = self.top_order(k);
         let scores = self.snapshot.scores();
-        if k <= data.top.len() || data.top.len() == data.n_docs {
-            return (
-                data.top
-                    .iter()
-                    .take(k)
-                    .map(|&d| (d, scores[d.index()]))
-                    .collect(),
-                true,
-            );
+        (
+            order.iter().map(|&d| (d, scores[d.index()])).collect(),
+            from_heap,
+        )
+    }
+
+    /// [`top_k`](Self::top_k) without the scores: the shard's `k` best
+    /// documents in serving order, borrowed from the precomputed list when
+    /// it suffices (the boolean) and scanned otherwise.
+    #[must_use]
+    pub(crate) fn top_order(&self, k: usize) -> (Cow<'_, [DocId]>, bool) {
+        let top = &self.data.top;
+        if k <= top.len() || top.len() == self.data.n_docs {
+            return (Cow::Borrowed(&top[..k.min(top.len())]), true);
         }
         // k exceeds the precomputed capacity: scan every covered site.
+        let scores = self.snapshot.scores();
         let mut all: Vec<(DocId, f64)> = self
             .sites
             .clone()
@@ -317,8 +324,10 @@ impl ShardState {
             .map(|&d| (d, scores[d.index()]))
             .collect();
         all.sort_unstable_by(serve_cmp);
-        all.truncate(k);
-        (all, false)
+        (
+            Cow::Owned(all.into_iter().take(k).map(|(d, _)| d).collect()),
+            false,
+        )
     }
 
     /// The `k` best documents of one covered site, distinguishing a

@@ -2,12 +2,12 @@
 //! histograms the experiment harness (and any monitoring layer) reads
 //! while the server is hot.
 //!
-//! The histograms make the read-path split observable in production, not
-//! just in the bench: every query records into either the **direct**
-//! histogram (answered on the caller's thread from a lock-free shard
-//! load) or the **fan-out** histogram (scatter-gathered across the shard
-//! workers), so a regression that silently demotes point lookups to the
-//! worker path shows up as a shifted distribution, not just a vibe.
+//! The histograms make the query-shape split observable in production,
+//! not just in the bench: every query records into either the **direct**
+//! histogram (one shard's store answered) or the **fan-out** histogram (a
+//! cross-shard gather merged several shards' partials), so a regression
+//! that makes gathers expensive shows up as a shifted distribution, not
+//! just a vibe.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -149,25 +149,26 @@ pub struct ServeStats {
     pub site_top_k_queries: AtomicU64,
     /// Pairwise compare queries answered.
     pub compare_queries: AtomicU64,
-    /// Queries answered **directly** on the caller's thread from a
-    /// lock-free shard load — zero mutexes, zero mpsc hops. The hot-path
-    /// health signal: under a point-lookup workload this should track
-    /// `score/batch/site_top_k/compare` counts one-for-one.
+    /// Single-shard queries (`score`, one-shard batches, `top_k_for_site`,
+    /// co-sharded `compare`): one shard's store answered. Under a
+    /// point-lookup workload this tracks those query counts one-for-one.
     pub direct_hits: AtomicU64,
-    /// Queries answered through the worker fan-out (cross-shard gathers,
-    /// or every query when `direct_reads` is disabled).
+    /// Cross-shard gathers (`top_k`, multi-shard batches and compares):
+    /// several shards' partials merged on the caller's thread.
     pub fanout_queries: AtomicU64,
-    /// Scatter-gathers retried because shards straddled a swap.
+    /// Always 0 in-process: every read answers from one loaded serving
+    /// set, so a gather cannot straddle a swap. Kept for the benchmark's
+    /// report shape.
     pub gather_retries: AtomicU64,
-    /// Scatter-gathers that escalated to the publish gate after
-    /// exhausting retries.
+    /// Always 0 in-process: no read takes the publish gate. Kept for the
+    /// benchmark's report shape.
     pub gate_escalations: AtomicU64,
     /// Shard-local top-k scans taken because `k` exceeded the precomputed
     /// heap capacity.
     pub heap_overflow_scans: AtomicU64,
-    /// Latency of direct-path queries (caller-thread, lock-free).
+    /// Latency of single-shard queries.
     pub direct_latency: LatencyHistogram,
-    /// Latency of fan-out queries (worker scatter-gather).
+    /// Latency of cross-shard gathers, merge included.
     pub fanout_latency: LatencyHistogram,
 }
 

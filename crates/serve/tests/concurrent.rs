@@ -106,11 +106,7 @@ fn readers_never_observe_torn_state_across_swaps() {
         ShardedServer::start(
             ShardMap::balanced(&base, 4).unwrap(),
             &engine.snapshot().unwrap(),
-            ServeConfig {
-                heap_k: 16,
-                max_gather_retries: 2,
-                direct_reads: true,
-            },
+            ServeConfig { heap_k: 16 },
         )
         .unwrap(),
     );
@@ -229,20 +225,24 @@ fn readers_never_observe_torn_state_across_swaps() {
     assert_eq!(stats.publishes, 8);
     assert!(stats.shards_rebuilt > 0);
     assert!(stats.shards_repinned > 0);
-    assert_eq!(stats.gate_escalations, 0, "escalation is the rare path");
+    assert_eq!(
+        stats.gather_retries, 0,
+        "a single-load gather never retries"
+    );
+    assert_eq!(stats.gate_escalations, 0, "no read takes the gate");
     assert!(
         stats.direct_hits > 0,
         "score/site lookups must ride the direct path"
     );
 }
 
-/// The torn-read hazard the two-mutex design left open: routing epoch
-/// N+1 observed while some shard still serves epoch N would route a doc
-/// into a cell that does not yet rank it. The publisher now stores every
-/// shard cell *before* the routing snapshot, so `routing_epoch <=
-/// min(shard_epoch)` must hold at every observable instant. Readers
-/// sample the pair (routing first, exactly like the direct path does)
-/// while the writer publishes full-rebuild swaps as fast as it can.
+/// The torn-read hazard of per-shard publication: routing epoch N+1
+/// observed while some shard still serves epoch N would route a doc into
+/// a store that does not yet rank it. With one serving set per epoch,
+/// one load yields the routing snapshot and every shard store together,
+/// so they must always agree — and successive loads never go back in
+/// time. Checkers sample that while the writer publishes full-rebuild
+/// swaps as fast as it can.
 #[test]
 fn routing_epoch_never_leads_a_shard_epoch() {
     let base = campus();
@@ -269,17 +269,18 @@ fn routing_epoch_never_leads_a_shard_epoch() {
         let stop = Arc::clone(&stop);
         let samples = Arc::clone(&samples);
         checkers.push(std::thread::spawn(move || {
+            let mut last = 0;
             while !stop.load(Ordering::Relaxed) {
-                // Same order as the direct read path: routing, then cell.
-                let routed = server.routing_epoch();
-                for shard in 0..server.n_shards() {
-                    let serving = server.shard_epoch(shard);
-                    assert!(
-                        serving >= routed,
+                let (routed, shards) = server.serving_epochs();
+                for (shard, &serving) in shards.iter().enumerate() {
+                    assert_eq!(
+                        serving, routed,
                         "coherence violated: routing at epoch {routed}, \
-                         shard {shard} still at {serving}"
+                         shard {shard} at {serving}"
                     );
                 }
+                assert!(routed >= last, "serving set went back in time");
+                last = routed;
                 samples.fetch_add(1, Ordering::Relaxed);
             }
         }));
@@ -290,29 +291,30 @@ fn routing_epoch_never_leads_a_shard_epoch() {
         let delta = delta_for_step(&current, step);
         let (mutated, _) = current.apply(&delta).unwrap();
         engine.apply_delta(&delta).unwrap();
-        // The pacing hook lands mid-swap (cells partially ahead): the
-        // invariant must hold there too, not just between publishes.
+        // The pacing hook lands mid-build: the previous set must still be
+        // served whole there, not just between publishes.
         let srv = &server;
+        let serving = server.epoch();
         server
             .publish_paced(&engine.snapshot().unwrap(), &|_| {
-                let routed = srv.routing_epoch();
-                for shard in 0..srv.n_shards() {
-                    assert!(srv.shard_epoch(shard) >= routed);
-                }
+                let (routed, shards) = srv.serving_epochs();
+                assert_eq!(routed, serving);
+                assert!(shards.iter().all(|&e| e == serving));
             })
             .unwrap();
         current = mutated;
     }
-    // Keep checking a little after the last swap, then stop.
+    // Keep checking a little after the last swap, then stop (early if a
+    // checker died, so its join reports the panic instead of a hang).
     let mark = samples.load(Ordering::Relaxed) + 5;
-    while samples.load(Ordering::Relaxed) < mark {
+    while samples.load(Ordering::Relaxed) < mark && !checkers.iter().any(|c| c.is_finished()) {
         std::thread::yield_now();
     }
     stop.store(true, Ordering::Relaxed);
     for handle in checkers {
         handle.join().expect("coherence checker panicked");
     }
-    assert_eq!(server.routing_epoch(), engine.epoch());
+    assert_eq!(server.serving_epochs().0, engine.epoch());
 }
 
 #[test]

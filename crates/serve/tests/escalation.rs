@@ -1,26 +1,25 @@
-//! Deterministic coverage of the router's straddling-gather escalation
-//! path: epoch-mismatch retries followed by the publish-gate wait.
+//! Deterministic coverage of the single-load invariant for cross-shard
+//! gathers: a `top_k` or a multi-shard batch loads the serving set once
+//! and answers wholly from it, so a gather racing a publish sees wholly
+//! the old epoch or wholly the new one — never a mix, never a retry, and
+//! never the publish gate.
 //!
-//! `exp_serve` only exercises this probabilistically (a reader has to
-//! race a swap just so); here the interleaving is *constructed*: the
-//! publisher is paused via the pacing hook after swapping shard 0, so a
-//! cross-shard gather is guaranteed to observe shard 0 at the new epoch
-//! and shard 1 at the old one, exhaust its retries, and escalate to the
-//! publish gate — where it blocks until the paused publisher finishes.
+//! The interleaving is *constructed*: the publisher is paused via the
+//! pacing hook after building shard 0, holding the gate, so a gather
+//! issued then must answer without it.
 //!
 //! Runs its own threads only; safe under `RUST_TEST_THREADS=1`.
 
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use lmm_engine::{RankSnapshot, Staleness};
 use lmm_graph::sharding::ShardMap;
 use lmm_graph::{DocId, SiteId};
 use lmm_serve::{ServeConfig, ShardedServer};
 
-/// 4 sites x 2 docs over 2 shards.
+/// 4 sites x 2 docs over 2 shards (sites 0–1 → shard 0, 2–3 → shard 1).
 fn snapshot(epoch: u64, scores: Vec<f64>, staleness: Staleness) -> RankSnapshot {
     let n = scores.len();
     let members = (0..n / 2)
@@ -38,41 +37,49 @@ fn snapshot(epoch: u64, scores: Vec<f64>, staleness: Staleness) -> RankSnapshot 
     )
 }
 
-#[test]
-fn straddling_gather_retries_then_escalates_to_the_publish_gate() {
-    let scores_v1 = vec![0.05, 0.10, 0.20, 0.15, 0.08, 0.12, 0.18, 0.12];
-    let mut scores_v2 = scores_v1.clone();
-    scores_v2[2] = 0.30; // shard 0 (site 1)
-    scores_v2[6] = 0.35; // shard 1 (site 3)
+fn scores_v1() -> Vec<f64> {
+    vec![0.05, 0.10, 0.20, 0.15, 0.08, 0.12, 0.18, 0.12]
+}
 
-    let map = ShardMap::uniform(4, 2).unwrap();
-    let server = Arc::new(
+/// Epoch 2 moves a new document to the top of each shard, so both the
+/// scores and every shard's serving order differ from epoch 1.
+fn scores_v2() -> Vec<f64> {
+    let mut scores = scores_v1();
+    scores[0] = 0.30; // shard 0 (site 0)
+    scores[4] = 0.35; // shard 1 (site 2)
+    scores
+}
+
+fn server() -> Arc<ShardedServer> {
+    Arc::new(
         ShardedServer::start(
-            map,
-            &snapshot(1, scores_v1, Staleness::Full),
-            ServeConfig {
-                heap_k: 8,
-                max_gather_retries: 2,
-                direct_reads: true,
-            },
+            ShardMap::uniform(4, 2).unwrap(),
+            &snapshot(1, scores_v1(), Staleness::Full),
+            ServeConfig { heap_k: 8 },
         )
         .unwrap(),
-    );
+    )
+}
 
-    // The publisher swaps shard 0, reports in, then blocks until released
-    // — the straddle is now a stable state, not a race window.
-    let (swapped_tx, swapped_rx) = mpsc::channel::<usize>();
+/// Docs 0 (shard 0) and 4 (shard 1): a batch that must gather.
+const CROSS: [DocId; 2] = [DocId(0), DocId(4)];
+
+#[test]
+fn gathers_during_a_paused_publish_answer_wholly_the_old_epoch() {
+    let server = server();
+
+    // The publisher builds shard 0 of epoch 2, reports in, then parks
+    // holding the gate — a stable mid-publish state, not a race window.
+    let (built_tx, built_rx) = mpsc::channel::<()>();
     let (resume_tx, resume_rx) = mpsc::channel::<()>();
     let publisher = {
         let server = Arc::clone(&server);
-        // Full staleness: both shards rebuild, so the hook fires for
-        // shard 0 with shard 1 still pinned to epoch 1.
-        let snap = snapshot(2, scores_v2.clone(), Staleness::Full);
+        let snap = snapshot(2, scores_v2(), Staleness::Full);
         std::thread::spawn(move || {
             let report = server
                 .publish_paced(&snap, &move |shard| {
                     if shard == 0 {
-                        swapped_tx.send(shard).expect("test alive");
+                        built_tx.send(()).expect("test alive");
                         resume_rx.recv().expect("released");
                     }
                 })
@@ -80,115 +87,106 @@ fn straddling_gather_retries_then_escalates_to_the_publish_gate() {
             assert_eq!(report.shards_rebuilt, 2);
         })
     };
-    assert_eq!(swapped_rx.recv().unwrap(), 0, "shard 0 swapped first");
+    built_rx.recv().unwrap();
 
-    // A cross-shard gather now *must* see epochs {2, 1}: it retries
-    // max_gather_retries times, escalates, and blocks on the gate the
-    // publisher holds.
-    let reader_done = Arc::new(AtomicBool::new(false));
-    let reader = {
-        let server = Arc::clone(&server);
-        let reader_done = Arc::clone(&reader_done);
-        std::thread::spawn(move || {
-            let result = server.top_k(3).expect("escalated gather answers");
-            reader_done.store(true, AtomicOrdering::Relaxed);
-            result
-        })
-    };
-
-    // The escalation counter is bumped *before* the gate wait, so we can
-    // observe the reader parked on the gate while the publisher is paused.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().gate_escalations == 0 {
-        assert!(Instant::now() < deadline, "reader never escalated");
-        std::thread::yield_now();
-    }
-    assert!(
-        !reader_done.load(AtomicOrdering::Relaxed),
-        "the escalated gather must wait for the in-flight swap"
+    // Both gather shapes answer on this thread while the gate is held —
+    // a gather that needed the gate would deadlock here — and wholly from
+    // epoch 1, although shard 0 of epoch 2 is already built.
+    let (epoch, top) = server.top_k(3).unwrap();
+    assert_eq!(epoch, 1);
+    assert_eq!(
+        top,
+        vec![(DocId(2), 0.20), (DocId(6), 0.18), (DocId(3), 0.15)]
     );
-    let mid_stats = server.stats();
-    assert!(
-        mid_stats.gather_retries >= 2,
-        "expected the retry budget spent before escalating, saw {}",
-        mid_stats.gather_retries
-    );
+    assert_eq!(server.score_batch(&CROSS).unwrap(), (1, vec![0.05, 0.08]));
+    let mid = server.stats();
+    assert_eq!(mid.fanout_queries, 2);
+    assert_eq!(mid.gather_retries, 0);
+    assert_eq!(mid.gate_escalations, 0);
 
-    // Release the publisher; the gate frees; the escalated gather answers
-    // one consistent epoch-2 response.
+    // The publish completes and stores the whole set: the same gathers
+    // now answer wholly from epoch 2.
     resume_tx.send(()).unwrap();
     publisher.join().expect("publisher panicked");
-    let (epoch, top) = reader.join().expect("reader panicked");
+    let (epoch, top) = server.top_k(3).unwrap();
     assert_eq!(epoch, 2);
     assert_eq!(
         top,
-        vec![(DocId(6), 0.35), (DocId(2), 0.30), (DocId(3), 0.15)]
+        vec![(DocId(4), 0.35), (DocId(0), 0.30), (DocId(2), 0.20)]
     );
-    assert_eq!(server.stats().gate_escalations, 1);
+    assert_eq!(server.score_batch(&CROSS).unwrap(), (2, vec![0.30, 0.35]));
+    let end = server.stats();
+    assert_eq!(end.gather_retries, 0);
+    assert_eq!(end.gate_escalations, 0);
 }
 
-/// The retry path alone (no escalation): a gather straddling a brief swap
-/// succeeds once the swap completes, within its retry budget.
+/// Even epochs serve v2, odd epochs v1: any mix of the two inside one
+/// response would match neither.
+fn scores_of(epoch: u64) -> Vec<f64> {
+    if epoch.is_multiple_of(2) {
+        scores_v2()
+    } else {
+        scores_v1()
+    }
+}
+
+/// The global top-3 and the `CROSS` batch that `epoch` must answer.
+fn answers(epoch: u64) -> (Vec<(DocId, f64)>, Vec<f64>) {
+    let scores = scores_of(epoch);
+    let mut top: Vec<(DocId, f64)> = scores
+        .iter()
+        .enumerate()
+        .map(|(d, &s)| (DocId(d), s))
+        .collect();
+    top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    top.truncate(3);
+    let batch = CROSS.iter().map(|d| scores[d.index()]).collect();
+    (top, batch)
+}
+
 #[test]
-fn straddling_gather_recovers_within_its_retry_budget() {
-    let scores = vec![0.05, 0.10, 0.20, 0.15, 0.08, 0.12, 0.18, 0.12];
-    let map = ShardMap::uniform(4, 2).unwrap();
-    let server = Arc::new(
-        ShardedServer::start(
-            map,
-            &snapshot(1, scores.clone(), Staleness::Full),
-            ServeConfig {
-                heap_k: 8,
-                // Effectively unbounded: the reader must ride out the
-                // paused swap on retries alone, never the gate.
-                max_gather_retries: usize::MAX,
-                direct_reads: true,
-            },
-        )
-        .unwrap(),
-    );
-    // Publisher pauses after shard 0 only until the reader has seen one
-    // mixed gather, then finishes — the reader's next retry succeeds
-    // without touching the gate.
-    let (swapped_tx, swapped_rx) = mpsc::channel::<()>();
-    let (resume_tx, resume_rx) = mpsc::channel::<()>();
-    let publisher = {
-        let server = Arc::clone(&server);
-        let snap = snapshot(2, scores, Staleness::Full);
-        std::thread::spawn(move || {
-            server
-                .publish_paced(&snap, &move |shard| {
-                    if shard == 0 {
-                        swapped_tx.send(()).expect("test alive");
-                        resume_rx.recv().expect("released");
-                    }
-                })
-                .expect("publish succeeds");
-        })
-    };
-    swapped_rx.recv().unwrap();
+fn gathers_racing_publishes_answer_wholly_one_epoch() {
+    let server = server();
+    let stop = Arc::new(AtomicBool::new(false));
+    let checked = Arc::new(AtomicU64::new(0));
     let reader = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.top_k(2).expect("gather answers"))
+        let stop = Arc::clone(&stop);
+        let checked = Arc::clone(&checked);
+        std::thread::spawn(move || {
+            while !stop.load(AtomicOrdering::Relaxed) {
+                let (epoch, top) = server.top_k(3).unwrap();
+                assert_eq!(top, answers(epoch).0, "torn top_k at epoch {epoch}");
+                let (epoch, batch) = server.score_batch(&CROSS).unwrap();
+                assert_eq!(batch, answers(epoch).1, "torn batch at epoch {epoch}");
+                checked.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+        })
     };
-    // Wait for the reader to burn at least one retry on the straddle,
-    // then let the publisher finish.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().gather_retries == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "reader never observed the straddle"
-        );
+
+    // Every publish yields mid-build, handing the reader the window in
+    // which a per-shard swap used to tear.
+    for epoch in 2..=40 {
+        let snap = snapshot(epoch, scores_of(epoch), Staleness::Full);
+        server
+            .publish_paced(&snap, &|_| std::thread::yield_now())
+            .unwrap();
+    }
+    // A reader that died on a torn answer never reaches the mark: stop
+    // waiting and let the join report its panic.
+    let mark = checked.load(AtomicOrdering::Relaxed) + 3;
+    while checked.load(AtomicOrdering::Relaxed) < mark && !reader.is_finished() {
         std::thread::yield_now();
     }
-    resume_tx.send(()).unwrap();
-    publisher.join().expect("publisher panicked");
-    let (epoch, _) = reader.join().expect("reader panicked");
-    assert_eq!(epoch, 2);
-    assert!(server.stats().gather_retries >= 1);
+    stop.store(true, AtomicOrdering::Relaxed);
+    reader.join().expect("reader panicked (torn gather?)");
+
+    let stats = server.stats();
+    assert_eq!(stats.shards_rebuilt, 2 * 39);
+    assert!(stats.fanout_queries >= 6);
     assert_eq!(
-        server.stats().gate_escalations,
-        0,
-        "the retry budget must absorb a short swap without escalating"
+        stats.gather_retries, 0,
+        "a single-load gather never retries"
     );
+    assert_eq!(stats.gate_escalations, 0, "no read takes the gate");
 }

@@ -119,34 +119,22 @@ fn mixed_removal_delta_round_trips_through_engine_and_server() {
         Err(ServeError::UnknownDoc { .. })
     ));
 
-    // The tombstone contract holds on *both* read paths. `server` runs
-    // with `direct_reads: true` (the default), so every probe above was
-    // answered on the caller's thread — prove it via the counter — and a
-    // worker-path server over the same snapshot answers identically.
+    // The tombstone contract holds on *both* query shapes. Every probe
+    // above was single-shard — prove it via the counter — and a
+    // cross-shard batch naming the dead doc fails the same way through
+    // the gather.
     let mid_stats = server.stats();
     assert!(
         mid_stats.direct_hits >= 3,
-        "tombstone probes must ride the direct path, direct_hits = {}",
+        "tombstone probes must be single-shard reads, direct_hits = {}",
         mid_stats.direct_hits
     );
-    let fanout_server = ShardedServer::start(
-        ShardMap::uniform(base.n_sites(), 4).unwrap(),
-        &snapshot,
-        ServeConfig {
-            direct_reads: false,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let far_doc = base.docs_of_site(SiteId(10))[0]; // shard 3
     assert!(matches!(
-        fanout_server.score(dead_doc),
+        server.score_batch(&[far_doc, dead_doc]),
         Err(ServeError::TombstonedDoc { doc, .. }) if doc == dead_doc.index()
     ));
-    assert!(matches!(
-        fanout_server.top_k_for_site(removed_site, 3),
-        Err(ServeError::TombstonedSite { site, .. }) if site == removed_site.index()
-    ));
-    assert_eq!(fanout_server.stats().direct_hits, 0);
+    assert_eq!(server.stats().fanout_queries, mid_stats.fanout_queries + 1);
 
     // Surviving docs match a from-scratch rank of the *compacted* graph,
     // id-translated through the remap, within L1 tolerance.

@@ -101,75 +101,3 @@ pub mod prelude {
     };
     pub use lmm_serve::{ServeConfig, ServeError, ShardQuery, ShardedServer};
 }
-
-/// Thin deprecated shims over the pre-engine ad-hoc entry points.
-///
-/// Each function forwards to the exact computation the unified
-/// [`RankEngine`](lmm_engine::RankEngine) backends wrap; new code should go
-/// through the engine (and, for query traffic, the `lmm-serve` tier),
-/// which adds validation, caching, serving, and telemetry on top of the
-/// same numerics.
-///
-/// **Deprecation status (PR 4):** nothing in this repository calls these
-/// shims anymore — every example, experiment binary, and integration test
-/// goes through the engine/serve API (the baseline tests deliberately call
-/// `lmm_core::siterank` directly, since they *test* those numerics rather
-/// than wrap them). The module stays for one more release purely as a
-/// migration aid for external callers of the 0.1 entry points; remove it
-/// once downstreams have moved.
-pub mod compat {
-    use lmm_core::siterank::{LayeredDocRank, LayeredRankConfig};
-    use lmm_graph::docgraph::DocGraph;
-    use lmm_linalg::PowerOptions;
-    use lmm_p2p::runner::{DistributedConfig, DistributedOutcome};
-    use lmm_rank::pagerank::PageRankResult;
-
-    /// Pre-engine entry point for the layered pipeline.
-    ///
-    /// # Errors
-    /// See [`lmm_core::siterank::layered_doc_rank`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use lmm::engine::RankEngine with BackendSpec::Layered"
-    )]
-    pub fn layered_doc_rank(
-        graph: &DocGraph,
-        config: &LayeredRankConfig,
-    ) -> lmm_core::Result<LayeredDocRank> {
-        lmm_core::siterank::layered_doc_rank(graph, config)
-    }
-
-    /// Pre-engine entry point for the flat baseline.
-    ///
-    /// # Errors
-    /// See [`lmm_core::siterank::flat_pagerank`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use lmm::engine::RankEngine with BackendSpec::FlatPageRank"
-    )]
-    pub fn flat_pagerank(
-        graph: &DocGraph,
-        damping: f64,
-        power: &PowerOptions,
-    ) -> lmm_core::Result<PageRankResult> {
-        // Stay serial (threads = 1): this shim predates the engine's
-        // threads knob, and legacy callers must not silently start a
-        // process-wide worker pool.
-        lmm_core::siterank::flat_pagerank(graph, damping, power, 1)
-    }
-
-    /// Pre-engine entry point for distributed runs.
-    ///
-    /// # Errors
-    /// See [`lmm_p2p::runner::run_distributed`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use lmm::engine::RankEngine with BackendSpec::Distributed"
-    )]
-    pub fn run_distributed(
-        graph: &DocGraph,
-        config: &DistributedConfig,
-    ) -> lmm_p2p::Result<DistributedOutcome> {
-        lmm_p2p::runner::run_distributed(graph, config)
-    }
-}

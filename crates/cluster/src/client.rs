@@ -25,13 +25,15 @@
 //! The *placement* cache is not append-only — owners move on failover
 //! and rejoin — so it is **evicted** the moment a node answers
 //! `NotOwner`, and every refresh prunes pooled connections to addresses
-//! no longer in the placement. Pooled connections themselves are lazily
-//! reconnected: a call over a stale stream (the peer restarted since it
-//! was parked) falls through to one fresh dial before the failure
-//! surfaces, so a node restart costs callers a reconnect, not an error.
+//! no longer in the placement. Every call, to the controller and to the
+//! nodes, goes through a `ConnPool`, the fabric's one outbound path
+//! (the controller uses one too): a call reuses a parked connection, and
+//! a stale one (the peer restarted since it was parked) falls through to
+//! one fresh dial before the failure surfaces, so a node restart costs
+//! callers a reconnect, not an error.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -45,7 +47,7 @@ use lmm_serve::{
 use crate::error::{ClusterError, Result};
 use crate::lock_clean;
 use crate::retry::RetryPolicy;
-use crate::transport::{FaultPlan, FramedConn, TransportError, WireCounters};
+use crate::transport::{ConnPool, FaultPlan, TransportError, WireCounters};
 use crate::wire::Message;
 
 /// Client tuning knobs.
@@ -135,9 +137,8 @@ pub struct ClusterClient {
     controller: String,
     cfg: ClientConfig,
     state: Mutex<ClientState>,
-    pool: Mutex<HashMap<String, FramedConn>>,
+    pool: ConnPool,
     counters: Arc<WireCounters>,
-    next_conn: AtomicU64,
     /// Per-gather salt: desynchronizes concurrent gathers' jitter
     /// streams without touching the shared budget.
     next_op: AtomicU64,
@@ -147,7 +148,6 @@ pub struct ClusterClient {
     placement_refreshes: AtomicU64,
     routing_refreshes: AtomicU64,
     placement_evictions: AtomicU64,
-    reconnects: AtomicU64,
     query_latency: LatencyHistogram,
 }
 
@@ -166,13 +166,13 @@ impl ClusterClient {
     /// network traffic happens until the first query.
     #[must_use]
     pub fn new(controller_addr: &str, cfg: ClientConfig) -> Self {
+        let counters = Arc::new(WireCounters::default());
         Self {
             controller: controller_addr.to_string(),
+            pool: ConnPool::new(cfg.io_timeout, cfg.fault, Arc::clone(&counters)),
             cfg,
             state: Mutex::new(ClientState::default()),
-            pool: Mutex::new(HashMap::new()),
-            counters: Arc::new(WireCounters::default()),
-            next_conn: AtomicU64::new(0),
+            counters,
             next_op: AtomicU64::new(0),
             gather_retries: AtomicU64::new(0),
             gather_escalations: AtomicU64::new(0),
@@ -180,7 +180,6 @@ impl ClusterClient {
             placement_refreshes: AtomicU64::new(0),
             routing_refreshes: AtomicU64::new(0),
             placement_evictions: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             query_latency: LatencyHistogram::default(),
         }
     }
@@ -204,7 +203,7 @@ impl ClusterClient {
             placement_refreshes: self.placement_refreshes.load(Ordering::Relaxed),
             routing_refreshes: self.routing_refreshes.load(Ordering::Relaxed),
             placement_evictions: self.placement_evictions.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
+            reconnects: self.pool.reconnects(),
             bytes: self.counters.totals(),
             query_latency: self.query_latency.snapshot(),
         }
@@ -224,52 +223,8 @@ impl ClusterClient {
 
     // -- connections --------------------------------------------------------
 
-    /// Runs `f` over a pooled (or freshly dialed) connection to `addr`.
-    /// The connection returns to the pool only on success — any error
-    /// drops it, so a poisoned stream never serves a later call.
-    ///
-    /// A pooled stream can be *stale*: the peer restarted (or the pool
-    /// outlived a partition) since it was parked. Every call made through
-    /// here is idempotent, so a transport failure on a pooled stream
-    /// falls through to exactly one fresh dial before surfacing — the
-    /// lazy reconnect that makes node restarts invisible to callers.
-    /// Wire errors are typed peer answers, not staleness, and surface
-    /// immediately.
-    fn with_conn<T>(
-        &self,
-        addr: &str,
-        mut f: impl FnMut(&mut FramedConn) -> std::result::Result<T, TransportError>,
-    ) -> std::result::Result<T, TransportError> {
-        // Bind the pooled entry first: an `if let` on the locked pool
-        // would hold the guard across the whole block (and deadlock on
-        // the re-insert).
-        let pooled = lock_clean(&self.pool).remove(addr);
-        if let Some(mut conn) = pooled {
-            match f(&mut conn) {
-                Ok(out) => {
-                    lock_clean(&self.pool).insert(addr.to_string(), conn);
-                    return Ok(out);
-                }
-                Err(e @ TransportError::Wire(_)) => return Err(e),
-                Err(_) => {
-                    self.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let conn = FramedConn::connect(addr, self.cfg.io_timeout, Arc::clone(&self.counters))?;
-        let mut conn = match &self.cfg.fault {
-            Some(plan) => conn.with_faults(Arc::new(
-                plan.injector(self.next_conn.fetch_add(1, Ordering::Relaxed)),
-            )),
-            None => conn,
-        };
-        let out = f(&mut conn)?;
-        lock_clean(&self.pool).insert(addr.to_string(), conn);
-        Ok(out)
-    }
-
     fn call_node(&self, addr: &str, msg: &Message) -> Result<Message> {
-        let reply = self.with_conn(addr, |conn| conn.call(msg)).map_err(|e| {
+        let reply = self.pool.call(addr, msg).map_err(|e| {
             self.node_failures.fetch_add(1, Ordering::Relaxed);
             match e {
                 TransportError::Wire(w) => ClusterError::Wire(w),
@@ -298,12 +253,11 @@ impl ClusterClient {
     }
 
     fn call_controller(&self, msg: &Message) -> Result<Message> {
-        let controller = self.controller.clone();
-        let reply = self
-            .with_conn(&controller, |conn| conn.call(msg))
-            .map_err(|e| ClusterError::ControllerUnavailable {
-                detail: format!("{controller}: {e}"),
-            })?;
+        let reply = self.pool.call(&self.controller, msg).map_err(|e| {
+            ClusterError::ControllerUnavailable {
+                detail: format!("{}: {e}", self.controller),
+            }
+        })?;
         match reply {
             Message::Bad { detail } => Err(ClusterError::Protocol { detail }),
             other => Ok(other),
@@ -357,8 +311,8 @@ impl ClusterClient {
         // Prune pooled connections to addresses the new placement no
         // longer names — dead nodes' streams would otherwise linger until
         // some call tripped over them.
-        lock_clean(&self.pool)
-            .retain(|addr, _| *addr == self.controller || view.owners.contains(addr));
+        self.pool
+            .retain(|addr| addr == self.controller || view.owners.iter().any(|o| o == addr));
         Ok(view)
     }
 

@@ -11,7 +11,7 @@
 //!    in-process tier uses (rebuild / refresh / repin per the staleness
 //!    contract), then force-rebuild any shard whose *owner* changed —
 //!    a grade describes data movement, not placement movement.
-//! 2. **Stage** (phase one): cut a [`SnapshotSegment`] per
+//! 2. **Stage** (phase one): cut a [`SnapshotSegment`](lmm_engine::SnapshotSegment) per
 //!    rebuild/refresh shard and ship it to the owning node at epoch
 //!    `C+1`, in parallel across nodes. Nodes hold staged sets without
 //!    serving them.
@@ -48,20 +48,19 @@
 //! pinned snapshot.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lmm_engine::{RankSnapshot, SnapshotSegment};
+use lmm_engine::RankSnapshot;
 use lmm_graph::sharding::ShardMap;
 use lmm_serve::{publish_grades, shard_site_range, SwapGrade};
 
 use crate::error::{ClusterError, Result};
 use crate::lock_clean;
 use crate::retry::RetryPolicy;
-use crate::transport::{FaultPlan, FramedConn, WireCounters};
+use crate::transport::{bind_loopback, ConnPool, FaultPlan, Server, WireCounters};
 use crate::wire::{Message, NodeWireStats};
 
 /// Controller tuning knobs.
@@ -85,7 +84,8 @@ pub struct ControllerConfig {
     /// attempt cap) before the node is declared failed, and whole-publish
     /// attempts back off between retries instead of hammering survivors.
     pub retry: RetryPolicy,
-    /// Optional deterministic fault injection on controller sends.
+    /// Optional deterministic fault injection on the controller's
+    /// outbound connections (both directions).
     pub fault: Option<FaultPlan>,
 }
 
@@ -103,7 +103,7 @@ impl Default for ControllerConfig {
 }
 
 /// One registered node, as the controller sees it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct NodeEntry {
     addr: String,
     missed: u32,
@@ -148,11 +148,14 @@ struct ControllerInner {
     state: Mutex<ControlState>,
     /// Serializes publishes and failovers. Lock order: this, then `state`.
     publish_gate: Mutex<()>,
+    /// Bytes moved by the pool's calls and the listener's replies.
     counters: Arc<WireCounters>,
+    /// Every outbound call: stage, commit, abort, heartbeat, rejoin
+    /// probe and stats.
+    pool: ConnPool,
     /// Background catch-up publishes spawned by rejoins; joined at
     /// shutdown.
     aux: Mutex<Vec<JoinHandle<()>>>,
-    next_conn: AtomicU64,
     publishes: AtomicU64,
     evictions: AtomicU64,
     failovers: AtomicU64,
@@ -244,8 +247,8 @@ pub struct ClusterStats {
 /// The running controller. Stop with [`ClusterController::shutdown`].
 pub struct ClusterController {
     inner: Arc<ControllerInner>,
-    threads: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: Server,
+    monitor: JoinHandle<()>,
 }
 
 impl ClusterController {
@@ -276,26 +279,18 @@ impl ClusterController {
                 reason: "io_timeout must be positive".into(),
             });
         }
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| ClusterError::InvalidConfig {
-                reason: format!("cannot bind a loopback listener: {e}"),
-            })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ClusterError::InvalidConfig {
-                reason: format!("listener has no local address: {e}"),
-            })?
-            .to_string();
+        let (listener, addr) = bind_loopback()?;
+        let counters = Arc::new(WireCounters::default());
         let inner = Arc::new(ControllerInner {
             map,
-            cfg,
             addr,
             shutdown: AtomicBool::new(false),
             state: Mutex::new(ControlState::default()),
             publish_gate: Mutex::new(()),
-            counters: Arc::new(WireCounters::default()),
+            pool: ConnPool::new(cfg.io_timeout, cfg.fault, Arc::clone(&counters)),
+            counters,
+            cfg,
             aux: Mutex::new(Vec::new()),
-            next_conn: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -304,11 +299,16 @@ impl ClusterController {
             rejoins_rejected: AtomicU64::new(0),
             publish_aborts: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let inner = Arc::clone(&inner);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || accept_loop(&listener, &inner, &conns))
+        let server = {
+            let handler = Arc::clone(&inner);
+            Server::spawn(
+                listener,
+                inner.cfg.io_timeout,
+                Arc::clone(&inner.counters),
+                None,
+                move |msg| handler.handle(msg),
+                || {},
+            )
         };
         let monitor = {
             let inner = Arc::clone(&inner);
@@ -316,8 +316,8 @@ impl ClusterController {
         };
         Ok(Self {
             inner,
-            threads: vec![accept, monitor],
-            conns,
+            server,
+            monitor,
         })
     }
 
@@ -410,8 +410,9 @@ impl ClusterController {
         self.inner.failover()
     }
 
-    /// Gathers cluster-wide statistics, dialing every node for its
-    /// counters (unreachable nodes report `wire: None`).
+    /// Gathers cluster-wide statistics, asking every node for its
+    /// counters over the controller's pooled connections (unreachable
+    /// nodes report `wire: None`).
     #[must_use]
     pub fn stats(&self) -> ClusterStats {
         let inner = &self.inner;
@@ -427,14 +428,10 @@ impl ClusterController {
         let mut shard_docs: Vec<u64> = Vec::new();
         let mut tombstones = 0u64;
         for (id, entry) in rows {
-            let wire = inner
-                .dial(&entry.addr)
-                .and_then(|mut conn| conn.call(&Message::StatsReq).map_err(|_| ()))
-                .ok()
-                .and_then(|reply| match reply {
-                    Message::Stats(stats) => Some(stats),
-                    _ => None,
-                });
+            let wire = match inner.pool.call(&entry.addr, &Message::StatsReq) {
+                Ok(Message::Stats(stats)) => Some(stats),
+                _ => None,
+            };
             if let Some(stats) = &wire {
                 tombstones += stats.tombstone_rejections;
                 shard_docs.extend(stats.shard_docs.iter().map(|&(_, d)| d));
@@ -471,15 +468,10 @@ impl ClusterController {
     }
 
     /// Stops the controller and joins its threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-        let handles = std::mem::take(&mut *lock_clean(&self.conns));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.server.stop();
+        let _ = self.monitor.join();
         let aux = std::mem::take(&mut *lock_clean(&self.inner.aux));
         for handle in aux {
             let _ = handle.join();
@@ -487,25 +479,14 @@ impl ClusterController {
     }
 }
 
-/// One node's work order within a publish attempt.
+/// One node's work order within a publish attempt: its `Stage` messages.
 struct NodeJob {
     node: u64,
     addr: String,
-    stages: Vec<(u64, SwapGrade, Option<SnapshotSegment>)>,
+    stages: Vec<Message>,
 }
 
 impl ControllerInner {
-    fn dial(&self, addr: &str) -> std::result::Result<FramedConn, ()> {
-        let conn = FramedConn::connect(addr, self.cfg.io_timeout, Arc::clone(&self.counters))
-            .map_err(|_| ())?;
-        Ok(match &self.cfg.fault {
-            Some(plan) => conn.with_faults(Arc::new(
-                plan.injector(self.next_conn.fetch_add(1, Ordering::Relaxed)),
-            )),
-            None => conn,
-        })
-    }
-
     /// The publish loop. Caller holds the publish gate.
     fn publish_locked(&self, snapshot: &RankSnapshot) -> Result<ClusterPublishReport> {
         let mut attempts = 0usize;
@@ -625,7 +606,12 @@ impl ControllerInner {
                             shard_site_range(&self.map, shard, snapshot.n_sites()),
                         )),
                     };
-                    job.stages.push((shard as u64, grades[shard], segment));
+                    job.stages.push(Message::Stage {
+                        epoch: next_epoch,
+                        shard: shard as u64,
+                        grade: grades[shard],
+                        segment,
+                    });
                 }
                 (
                     next_epoch,
@@ -646,7 +632,7 @@ impl ControllerInner {
                 for job in &jobs {
                     handles.push(scope.spawn(move || {
                         let started = Instant::now();
-                        self.stage_node(job, next_epoch)
+                        self.send_acked(job, next_epoch, 0, &job.stages)
                             .map(|()| (job.node, started.elapsed().as_secs_f64() * 1e3))
                             .map_err(|detail| (job.node, detail))
                     }));
@@ -660,8 +646,12 @@ impl ControllerInner {
             });
             // --- phase two: commit only after every node staged ----------
             if failed.is_empty() {
+                let commit = [Message::Commit {
+                    epoch: next_epoch,
+                    rank_epoch: snapshot.epoch(),
+                }];
                 for job in &jobs {
-                    if let Err(detail) = self.commit_node(job, next_epoch, snapshot.epoch()) {
+                    if let Err(detail) = self.send_acked(job, next_epoch, 0xC0, &commit) {
                         failed.push((job.node, detail));
                     }
                 }
@@ -732,90 +722,42 @@ impl ControllerInner {
         }
     }
 
-    /// The tight per-node retry cap. Transient transport faults get a
-    /// couple of quick retries with a fresh dial (both phases are
-    /// idempotent: restages supersede, duplicate commits ack), but a node
-    /// that keeps failing is declared dead fast — burning the *full*
-    /// retry budget here would stretch every failover by the whole
-    /// deadline.
-    fn call_policy(&self) -> RetryPolicy {
-        RetryPolicy {
+    /// Sends `msgs` to the job's node in order over one pooled
+    /// connection, each to be answered `Ack { epoch }`. Transient faults
+    /// get a couple of quick retries (stage and commit are idempotent:
+    /// restages supersede, duplicate commits ack), but a node that keeps
+    /// failing is declared dead fast — burning the *full* retry budget
+    /// here would stretch every failover by the whole deadline.
+    fn send_acked(
+        &self,
+        job: &NodeJob,
+        epoch: u64,
+        salt: u64,
+        msgs: &[Message],
+    ) -> std::result::Result<(), String> {
+        let policy = RetryPolicy {
             max_attempts: 2,
             ..self.cfg.retry
-        }
-    }
-
-    fn stage_node(&self, job: &NodeJob, epoch: u64) -> std::result::Result<(), String> {
-        let mut schedule = self.call_policy().begin(epoch ^ job.node.rotate_left(32));
+        };
+        let mut schedule = policy.begin(epoch ^ job.node.rotate_left(32) ^ salt);
         loop {
-            match self.try_stage(job, epoch) {
-                Ok(()) => return Ok(()),
-                Err(detail) => {
-                    if !schedule.backoff_and_retry() {
-                        return Err(detail);
+            let attempt = self.pool.with_conn(&job.addr, |conn| {
+                for msg in msgs {
+                    match conn.call(msg)? {
+                        Message::Ack { epoch: acked } if acked == epoch => {}
+                        other => return Ok(Err(format!("epoch {epoch}: answered {other:?}"))),
                     }
                 }
+                Ok(Ok(()))
+            });
+            let detail = match attempt {
+                Ok(Ok(())) => return Ok(()),
+                Ok(Err(detail)) => detail,
+                Err(e) => format!("{}: {e}", job.addr),
+            };
+            if !schedule.backoff_and_retry() {
+                return Err(detail);
             }
-        }
-    }
-
-    fn try_stage(&self, job: &NodeJob, epoch: u64) -> std::result::Result<(), String> {
-        let mut conn = self
-            .dial(&job.addr)
-            .map_err(|()| format!("dial {}", job.addr))?;
-        for (shard, grade, segment) in &job.stages {
-            let reply = conn
-                .call(&Message::Stage {
-                    epoch,
-                    shard: *shard,
-                    grade: *grade,
-                    segment: segment.clone(),
-                })
-                .map_err(|e| format!("stage shard {shard}: {e}"))?;
-            match reply {
-                Message::Ack { epoch: acked } if acked == epoch => {}
-                other => return Err(format!("stage shard {shard} answered {other:?}")),
-            }
-        }
-        Ok(())
-    }
-
-    fn commit_node(
-        &self,
-        job: &NodeJob,
-        epoch: u64,
-        rank_epoch: u64,
-    ) -> std::result::Result<(), String> {
-        let mut schedule = self
-            .call_policy()
-            .begin(epoch ^ job.node.rotate_left(32) ^ 0xC0);
-        loop {
-            match self.try_commit(job, epoch, rank_epoch) {
-                Ok(()) => return Ok(()),
-                Err(detail) => {
-                    if !schedule.backoff_and_retry() {
-                        return Err(detail);
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_commit(
-        &self,
-        job: &NodeJob,
-        epoch: u64,
-        rank_epoch: u64,
-    ) -> std::result::Result<(), String> {
-        let mut conn = self
-            .dial(&job.addr)
-            .map_err(|()| format!("dial {}", job.addr))?;
-        let reply = conn
-            .call(&Message::Commit { epoch, rank_epoch })
-            .map_err(|e| format!("commit: {e}"))?;
-        match reply {
-            Message::Ack { epoch: acked } if acked == epoch => Ok(()),
-            other => Err(format!("commit answered {other:?}")),
         }
     }
 
@@ -829,10 +771,9 @@ impl ControllerInner {
                 continue;
             }
             let acked = self
-                .dial(&job.addr)
-                .ok()
-                .and_then(|mut conn| conn.call(&Message::Abort { epoch }).ok())
-                .is_some_and(|reply| matches!(reply, Message::Ack { .. }));
+                .pool
+                .call(&job.addr, &Message::Abort { epoch })
+                .is_ok_and(|reply| matches!(reply, Message::Ack { .. }));
             if acked {
                 self.publish_aborts.fetch_add(1, Ordering::Relaxed);
             }
@@ -843,9 +784,10 @@ impl ControllerInner {
     /// so a rejoin hands them back. Each shard has exactly one claimant:
     /// the newest eviction strips its shards from every older claim.
     fn evict_locked(&self, state: &mut ControlState, id: u64) {
-        if state.nodes.remove(&id).is_none() {
+        let Some(entry) = state.nodes.remove(&id) else {
             return;
-        }
+        };
+        self.pool.retain(|addr| addr != entry.addr);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         state.fresh.remove(&id);
         let owned: Vec<u64> = state
@@ -889,66 +831,19 @@ impl ControllerInner {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<ControllerInner>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let handle = std::thread::spawn(move || serve_conn(stream, &inner));
-                lock_clean(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let Ok(mut conn) =
-        FramedConn::from_stream(stream, inner.cfg.io_timeout, Arc::clone(&inner.counters))
-    else {
-        return;
-    };
-    loop {
-        let msg = match conn.recv_idle(&mut || !inner.shutdown.load(Ordering::SeqCst)) {
-            Ok(msg) => msg,
-            Err(crate::transport::TransportError::Wire(e)) => {
-                if conn
-                    .send(&Message::Bad {
-                        detail: e.to_string(),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let reply = match msg {
+impl ControllerInner {
+    /// The controller's protocol: one reply per inbound message.
+    fn handle(self: &Arc<Self>, msg: Message) -> Message {
+        match msg {
             Message::Register { addr } => {
-                let mut state = lock_clean(&inner.state);
+                let mut state = lock_clean(&self.state);
                 let node = state.next_node;
                 state.next_node += 1;
                 state.nodes.insert(
                     node,
                     NodeEntry {
                         addr,
-                        missed: 0,
-                        rtt_us: 0,
-                        last_fanout_ms: 0.0,
+                        ..NodeEntry::default()
                     },
                 );
                 Message::Registered { node }
@@ -970,19 +865,18 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                 // Rejoin from the *same* address (a retry after a lost
                 // reply) is idempotent, not a hijack.
                 let prior_addr = {
-                    let state = lock_clean(&inner.state);
+                    let state = lock_clean(&self.state);
                     state.nodes.get(&node).map(|entry| entry.addr.clone())
                 };
                 let prior_alive = prior_addr.as_deref().is_some_and(|old| {
                     old != addr
-                        && inner
-                            .dial(old)
-                            .ok()
-                            .and_then(|mut conn| conn.call(&Message::Ping { seq: 0 }).ok())
-                            .is_some_and(|reply| matches!(reply, Message::Pong { .. }))
+                        && self
+                            .pool
+                            .call(old, &Message::Ping { seq: 0 })
+                            .is_ok_and(|reply| matches!(reply, Message::Pong { .. }))
                 });
                 if prior_alive {
-                    inner.rejoins_rejected.fetch_add(1, Ordering::Relaxed);
+                    self.rejoins_rejected.fetch_add(1, Ordering::Relaxed);
                     Message::Bad {
                         detail: format!(
                             "rejoin refused: node {node} is still live at {}",
@@ -991,23 +885,21 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                     }
                 } else {
                     let has_pinned = {
-                        let mut state = lock_clean(&inner.state);
+                        let mut state = lock_clean(&self.state);
                         state.next_node = state.next_node.max(node + 1);
                         state.nodes.insert(
                             node,
                             NodeEntry {
                                 addr,
-                                missed: 0,
-                                rtt_us: 0,
-                                last_fanout_ms: 0.0,
+                                ..NodeEntry::default()
                             },
                         );
                         state.fresh.insert(node);
                         state.pinned.is_some()
                     };
-                    inner.rejoins.fetch_add(1, Ordering::Relaxed);
+                    self.rejoins.fetch_add(1, Ordering::Relaxed);
                     if has_pinned {
-                        let catcher = Arc::clone(inner);
+                        let catcher = Arc::clone(self);
                         let handle = std::thread::spawn(move || {
                             // NoNodes/NotPublished just mean the cluster
                             // moved on; real publish failures surface via
@@ -1017,7 +909,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                         // Reap finished catch-up threads while we are
                         // here, so a long-lived controller under churn
                         // does not hoard dead handles until shutdown.
-                        let mut aux = lock_clean(&inner.aux);
+                        let mut aux = lock_clean(&self.aux);
                         aux.retain(|h| !h.is_finished());
                         aux.push(handle);
                     }
@@ -1025,7 +917,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                 }
             }
             Message::PlacementReq => {
-                let state = lock_clean(&inner.state);
+                let state = lock_clean(&self.state);
                 if state.cepoch == 0 {
                     // Epoch 0 = "nothing published"; clients map this to
                     // a typed NotPublished.
@@ -1039,7 +931,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                     Message::Placement {
                         epoch: state.cepoch,
                         rank_epoch: state.rank_epoch,
-                        boundaries: inner.map.boundaries().iter().map(|&b| b as u64).collect(),
+                        boundaries: self.map.boundaries().iter().map(|&b| b as u64).collect(),
                         owners: state
                             .placement
                             .iter()
@@ -1054,7 +946,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                 }
             }
             Message::RoutingReq => {
-                let state = lock_clean(&inner.state);
+                let state = lock_clean(&self.state);
                 match &state.pinned {
                     Some(snapshot) => Message::Routing {
                         rank_epoch: state.rank_epoch,
@@ -1073,9 +965,6 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
             other => Message::Bad {
                 detail: format!("unexpected message at the controller: {other:?}"),
             },
-        };
-        if conn.send(&reply).is_err() {
-            return;
         }
     }
 }
@@ -1100,10 +989,9 @@ fn monitor_loop(inner: &Arc<ControllerInner>) {
             seq += 1;
             let started = Instant::now();
             let alive = inner
-                .dial(&addr)
-                .ok()
-                .and_then(|mut conn| conn.call(&Message::Ping { seq }).ok())
-                .is_some_and(|reply| matches!(reply, Message::Pong { seq: s, .. } if s == seq));
+                .pool
+                .call(&addr, &Message::Ping { seq })
+                .is_ok_and(|reply| matches!(reply, Message::Pong { seq: s, .. } if s == seq));
             let mut state = lock_clean(&inner.state);
             let Some(entry) = state.nodes.get_mut(&id) else {
                 continue;
@@ -1132,6 +1020,89 @@ fn monitor_loop(inner: &Arc<ControllerInner>) {
             // NotPublished / NoNodes here just mean there is nothing to
             // repair yet; publish-time failures surface on the publisher.
             let _ = inner.failover();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{NodeConfig, ShardNode};
+    use lmm_engine::{BackendSpec, RankEngine};
+    use lmm_graph::delta::GraphDelta;
+    use lmm_graph::generator::CampusWebConfig;
+    use lmm_graph::SiteId;
+
+    #[test]
+    fn steady_publishes_and_heartbeats_open_no_connections() {
+        let mut cfg = CampusWebConfig::small();
+        cfg.total_docs = 120;
+        cfg.n_sites = 4;
+        cfg.spam_farms.clear();
+        let mut graph = cfg.generate().expect("graph");
+        let mut engine = RankEngine::builder()
+            .backend(BackendSpec::Incremental)
+            .threads(1)
+            .build()
+            .expect("engine");
+        engine.rank(&graph).expect("rank");
+        let map = ShardMap::balanced(&graph, 4).expect("map");
+        let controller = ClusterController::start(
+            map,
+            ControllerConfig {
+                heartbeat_interval: Duration::from_millis(5),
+                ..ControllerConfig::default()
+            },
+        )
+        .expect("controller");
+        let nodes: Vec<ShardNode> = (0..2)
+            .map(|_| ShardNode::start(controller.addr(), NodeConfig::default()).expect("node"))
+            .collect();
+        controller
+            .wait_for_nodes(2, Duration::from_secs(5))
+            .expect("registered");
+        controller
+            .publish(&engine.snapshot().expect("snapshot"))
+            .expect("first publish");
+
+        // The controller calls each node from at most two threads at once
+        // (the publisher and the heartbeat monitor), so the pool settles
+        // at two connections per node. Seat both now, so whether the two
+        // have already overlapped is not a matter of timing.
+        let pool = &controller.inner.pool;
+        for node in &nodes {
+            let ping = Message::Ping { seq: 0 };
+            pool.with_conn(node.addr(), |a| {
+                pool.with_conn(node.addr(), |b| b.call(&ping))?;
+                a.call(&ping)
+            })
+            .expect("seat two connections");
+        }
+        let accepted: Vec<u64> = nodes.iter().map(ShardNode::accepted).collect();
+
+        for step in 0..10 {
+            let mut delta = GraphDelta::for_graph(&graph);
+            let site = SiteId(step % graph.n_sites());
+            let root = graph.docs_of_site(site)[0];
+            let page = delta
+                .add_page(site, &format!("http://steady-{step}.page/"))
+                .expect("page");
+            delta.add_link(root, page).expect("link");
+            graph = graph.apply(&delta).expect("apply").0;
+            engine.apply_delta(&delta).expect("delta");
+            let report = controller
+                .publish(&engine.snapshot().expect("snapshot"))
+                .expect("publish");
+            assert_eq!(report.attempts, 1);
+        }
+        // Let several heartbeats land after the last publish too.
+        std::thread::sleep(Duration::from_millis(50));
+        let after: Vec<u64> = nodes.iter().map(ShardNode::accepted).collect();
+        assert_eq!(after, accepted, "steady traffic dialed new connections");
+
+        controller.shutdown();
+        for node in nodes {
+            node.kill();
         }
     }
 }

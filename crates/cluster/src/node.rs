@@ -10,16 +10,16 @@
 //! epoch — so "same data, new placement" never reads as "same epoch,
 //! different data".
 //!
-//! Concurrency model: one accept thread (non-blocking poll so shutdown is
-//! prompt), one thread per accepted connection. Serving state swaps
-//! atomically under a mutex held only for the pointer swap and `Arc`
-//! clones — query compute happens off-lock.
+//! Concurrency model: the transport's shared `Server` loop accepts connections and
+//! serves each on its own thread; callers pool them, so one connection
+//! carries every heartbeat, stage and query a peer sends. The loop's idle
+//! tick expires orphaned staged sets. Serving state swaps atomically
+//! under a mutex held only for the pointer swap and `Arc` clones — query
+//! compute happens off-lock.
 
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lmm_engine::SnapshotSegment;
@@ -29,7 +29,7 @@ use lmm_serve::{DocScore, ShardState, SiteTopK, SwapGrade};
 use crate::error::{ClusterError, Result};
 use crate::lock_clean;
 use crate::retry::RetryPolicy;
-use crate::transport::{FaultPlan, FramedConn, TransportError, WireCounters};
+use crate::transport::{bind_loopback, ConnPool, FaultPlan, Server, WireCounters};
 use crate::wire::{Message, NodeWireStats};
 
 /// Shard-node tuning knobs.
@@ -39,8 +39,6 @@ pub struct NodeConfig {
     pub heap_k: usize,
     /// Read/write timeout on every connection.
     pub io_timeout: Duration,
-    /// How often idle connection threads check the shutdown flag.
-    pub poll: Duration,
     /// How long a staged-but-uncommitted epoch set may wait for its
     /// commit before the node garbage-collects it. A publishing
     /// controller that dies (or silently gives up) between stage and
@@ -62,7 +60,6 @@ impl Default for NodeConfig {
         Self {
             heap_k: 64,
             io_timeout: Duration::from_secs(2),
-            poll: Duration::from_millis(25),
             stage_ttl: Duration::from_secs(60),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -99,7 +96,6 @@ struct NodeInner {
     node_id: u64,
     addr: String,
     cfg: NodeConfig,
-    shutdown: AtomicBool,
     serving: Mutex<Serving>,
     staged: Mutex<Staged>,
     /// Highest cluster epoch the controller has explicitly aborted; stage
@@ -107,7 +103,6 @@ struct NodeInner {
     /// be committed by a late or replayed message.
     last_aborted: AtomicU64,
     counters: Arc<WireCounters>,
-    next_conn: AtomicU64,
     queries: AtomicU64,
     tombstone_rejections: AtomicU64,
     staged_count: AtomicU64,
@@ -120,8 +115,7 @@ struct NodeInner {
 /// call [`ShardNode::kill`].
 pub struct ShardNode {
     inner: Arc<NodeInner>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    server: Server,
 }
 
 impl ShardNode {
@@ -158,16 +152,7 @@ impl ShardNode {
                 reason: "heap_k must be at least 1".into(),
             });
         }
-        let listener =
-            TcpListener::bind("127.0.0.1:0").map_err(|e| ClusterError::InvalidConfig {
-                reason: format!("cannot bind a loopback listener: {e}"),
-            })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ClusterError::InvalidConfig {
-                reason: format!("listener has no local address: {e}"),
-            })?
-            .to_string();
+        let (listener, addr) = bind_loopback()?;
         let counters = Arc::new(WireCounters::default());
         // Register before serving: the controller must know us before any
         // publish can place shards here. The listener is already bound,
@@ -178,12 +163,10 @@ impl ShardNode {
             node_id: node,
             addr,
             cfg,
-            shutdown: AtomicBool::new(false),
             serving: Mutex::new(Serving::default()),
             staged: Mutex::new(Staged::default()),
             last_aborted: AtomicU64::new(0),
             counters,
-            next_conn: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             tombstone_rejections: AtomicU64::new(0),
             staged_count: AtomicU64::new(0),
@@ -191,17 +174,23 @@ impl ShardNode {
             aborted: AtomicU64::new(0),
             staged_expired: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let inner = Arc::clone(&inner);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || accept_loop(&listener, &inner, &conns))
+        let server = {
+            let (handler, idle) = (Arc::clone(&inner), Arc::clone(&inner));
+            Server::spawn(
+                listener,
+                inner.cfg.io_timeout,
+                Arc::clone(&inner.counters),
+                inner.cfg.fault,
+                move |msg| handler.handle(msg),
+                // The node-local GC tick: a staged set whose publisher
+                // died in the stage/commit gap is reclaimed even if no
+                // controller ever connects again (the commit-time expiry
+                // check keeps the safety property; this keeps the memory
+                // from staying pinned indefinitely).
+                move || idle.expire_stale_stage(),
+            )
         };
-        Ok(Self {
-            inner,
-            accept: Some(accept),
-            conns,
-        })
+        Ok(Self { inner, server })
     }
 
     /// The node's listen address (`ip:port`).
@@ -229,19 +218,19 @@ impl ShardNode {
         self.inner.wire_stats()
     }
 
-    /// Stops the node abruptly: in-flight connections are wound down, the
-    /// listener closes, and — crucially for the failover story — the
-    /// controller is *not* told. It finds out the way real clusters do:
-    /// missed heartbeats.
-    pub fn kill(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        let handles = std::mem::take(&mut *lock_clean(&self.conns));
-        for handle in handles {
-            let _ = handle.join();
-        }
+    /// Stops the node abruptly: every accepted connection is closed (idle
+    /// pooled peers included, so this returns at once), the listener
+    /// closes, and — crucially for the failover story — the controller
+    /// is *not* told. It finds out the way real clusters do: missed
+    /// heartbeats.
+    pub fn kill(self) {
+        self.server.stop();
+    }
+
+    /// Connections the node has accepted so far.
+    #[cfg(test)]
+    pub(crate) fn accepted(&self) -> u64 {
+        self.server.accepted()
     }
 }
 
@@ -268,25 +257,17 @@ fn register_with_controller(
         acc.rotate_left(8) ^ u64::from(b)
     });
     let mut schedule = cfg.retry.begin(salt);
+    let pool = ConnPool::new(cfg.io_timeout, None, Arc::clone(counters));
     loop {
-        let attempt = (|| -> Result<u64> {
-            let mut ctrl =
-                FramedConn::connect(controller_addr, cfg.io_timeout, Arc::clone(counters))
-                    .map_err(|e| ClusterError::ControllerUnavailable {
-                        detail: format!("dial {controller_addr}: {e}"),
-                    })?;
-            let reply = ctrl
-                .call(&hello)
-                .map_err(|e| ClusterError::ControllerUnavailable {
-                    detail: format!("register with {controller_addr}: {e}"),
-                })?;
-            match reply {
-                Message::Registered { node } => Ok(node),
-                other => Err(ClusterError::Protocol {
-                    detail: format!("expected Registered, got {other:?}"),
-                }),
-            }
-        })();
+        let attempt = match pool.call(controller_addr, &hello) {
+            Ok(Message::Registered { node }) => Ok(node),
+            Ok(other) => Err(ClusterError::Protocol {
+                detail: format!("expected Registered, got {other:?}"),
+            }),
+            Err(e) => Err(ClusterError::ControllerUnavailable {
+                detail: format!("register with {controller_addr}: {e}"),
+            }),
+        };
         match attempt {
             Ok(node) => return Ok(node),
             err @ Err(ClusterError::Protocol { .. }) => return err,
@@ -309,79 +290,6 @@ fn register_with_controller(
                     };
                 }
             }
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<NodeInner>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let handle = std::thread::spawn(move || conn_loop(stream, &inner));
-                lock_clean(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // The idle poll doubles as a node-local GC tick: a staged
-                // set whose publisher died stage/commit-gap is reclaimed
-                // even if no controller ever connects again (the commit-
-                // time expiry check keeps the safety property; this keeps
-                // the memory from staying pinned indefinitely).
-                inner.expire_stale_stage();
-                std::thread::sleep(inner.cfg.poll);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn conn_loop(stream: TcpStream, inner: &Arc<NodeInner>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let Ok(conn) =
-        FramedConn::from_stream(stream, inner.cfg.io_timeout, Arc::clone(&inner.counters))
-    else {
-        return;
-    };
-    let mut conn = match &inner.cfg.fault {
-        Some(plan) => conn.with_faults(Arc::new(
-            plan.injector(inner.next_conn.fetch_add(1, Ordering::Relaxed)),
-        )),
-        None => conn,
-    };
-    loop {
-        let msg = conn.recv_idle(&mut || !inner.shutdown.load(Ordering::SeqCst));
-        let msg = match msg {
-            Ok(msg) => msg,
-            // TimedOut here means the shutdown flag flipped while idle;
-            // Closed/Io means the peer went away. Either way: wind down.
-            Err(TransportError::TimedOut | TransportError::Closed | TransportError::Io(_)) => {
-                return
-            }
-            Err(TransportError::Wire(e)) => {
-                // Garbage on the wire: answer typed, then keep serving.
-                if conn
-                    .send(&Message::Bad {
-                        detail: e.to_string(),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        };
-        let reply = inner.handle(msg);
-        if conn.send(&reply).is_err() {
-            return;
         }
     }
 }

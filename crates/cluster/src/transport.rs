@@ -1,6 +1,7 @@
 //! Framed TCP transport: one [`FramedConn`] per socket, bounded timeouts
-//! on every read and write, byte counters, and a deterministic
-//! fault-injection shim.
+//! on every read and write, byte counters, a deterministic
+//! fault-injection shim, and the fabric's two connection paths:
+//! `ConnPool` for every outbound call, `Server` for every inbound one.
 //!
 //! The fabric is std-only: plain `TcpStream`s on loopback (or any
 //! network), thread-per-connection on the accepting side. Every
@@ -17,12 +18,17 @@
 //! function of the plan's seed and the connection's index, so a failing
 //! run replays exactly.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::error::ClusterError;
+use crate::lock_clean;
+use crate::retry::splitmix64;
 use crate::wire::{decode_message, encode_frame, Message, WireError, MAX_PAYLOAD};
 
 /// Transport-level failures, distinct from protocol-level [`WireError`]s
@@ -107,9 +113,8 @@ pub struct FaultPlan {
     /// frames crossing the connection (sends and receives share one
     /// counter), [`FaultPlan::partition_len`] consecutive frames are
     /// blacked out. Each connection's cadence starts at a deterministic
-    /// per-connection phase — a fresh dial is not automatically born
-    /// inside the blackout, which would turn a periodic partition into a
-    /// permanent one for fresh-dial-per-call flows like heartbeats.
+    /// per-connection phase, so the fresh dial that replaces a connection
+    /// torn by a blackout is not automatically born inside the next one.
     /// `0` disables partitions.
     pub partition_period: u64,
     /// Frames blacked out per partition window.
@@ -146,13 +151,13 @@ impl FaultPlan {
         let phase = if self.partition_period == 0 {
             0
         } else {
-            splitmix(lane ^ 0x0FF5_0FF5_0FF5_0FF5) % self.partition_period
+            stream_seed(lane ^ 0x0FF5_0FF5_0FF5_0FF5) % self.partition_period
         };
         FaultInjector {
             plan: *self,
-            state: Mutex::new(splitmix(lane)),
-            recv_state: Mutex::new(splitmix(lane ^ 0xD1E5_E10F_ACE5_0FF5)),
-            frames: AtomicU64::new(phase),
+            state: stream_seed(lane),
+            recv_state: stream_seed(lane ^ 0xD1E5_E10F_ACE5_0FF5),
+            frames: phase,
         }
     }
 }
@@ -166,28 +171,22 @@ enum Fault {
     Disconnect,
 }
 
-/// Per-connection deterministic fault roller.
+/// Per-connection deterministic fault roller, owned by its connection.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    state: Mutex<u64>,
-    recv_state: Mutex<u64>,
-    frames: AtomicU64,
+    state: u64,
+    recv_state: u64,
+    frames: u64,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | 1
+/// A nonzero xorshift state (zero is xorshift's fixed point).
+fn stream_seed(x: u64) -> u64 {
+    splitmix64(x) | 1
 }
 
 impl FaultInjector {
-    fn draw(state: &Mutex<u64>) -> u32 {
-        let mut state = state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn draw(state: &mut u64) -> u32 {
         *state ^= *state << 13;
         *state ^= *state >> 7;
         *state ^= *state << 17;
@@ -195,8 +194,8 @@ impl FaultInjector {
     }
 
     /// Send-side roll: disconnect → drop → delay.
-    fn roll(&self) -> Fault {
-        let draw = Self::draw(&self.state);
+    fn roll(&mut self) -> Fault {
+        let draw = Self::draw(&mut self.state);
         let p = &self.plan;
         if draw < p.disconnect_per_mille {
             Fault::Disconnect
@@ -211,8 +210,8 @@ impl FaultInjector {
 
     /// Receive-side roll: drop → delay (a receiver cannot "disconnect" a
     /// frame it already has; teardown is a send-side fault).
-    fn recv_roll(&self) -> Fault {
-        let draw = Self::draw(&self.recv_state);
+    fn recv_roll(&mut self) -> Fault {
+        let draw = Self::draw(&mut self.recv_state);
         let p = &self.plan;
         if draw < p.recv_drop_per_mille {
             Fault::Drop
@@ -225,12 +224,13 @@ impl FaultInjector {
 
     /// Advances the shared frame counter and reports whether this frame
     /// falls inside a partition blackout window.
-    fn partitioned(&self) -> bool {
+    fn partitioned(&mut self) -> bool {
         let p = &self.plan;
         if p.partition_period == 0 || p.partition_len == 0 {
             return false;
         }
-        let frame = self.frames.fetch_add(1, Ordering::Relaxed);
+        let frame = self.frames;
+        self.frames = frame.wrapping_add(1);
         frame % p.partition_period < p.partition_len
     }
 }
@@ -239,9 +239,8 @@ impl FaultInjector {
 #[derive(Debug)]
 pub struct FramedConn {
     stream: TcpStream,
-    peer: String,
     counters: Arc<WireCounters>,
-    faults: Option<Arc<FaultInjector>>,
+    faults: Option<FaultInjector>,
 }
 
 impl FramedConn {
@@ -288,29 +287,18 @@ impl FramedConn {
         stream
             .set_write_timeout(Some(timeout))
             .map_err(TransportError::Io)?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
         Ok(Self {
             stream,
-            peer,
             counters,
             faults: None,
         })
     }
 
-    /// Installs a fault injector on this connection's sends.
+    /// Installs a fault injector on this connection (both directions).
     #[must_use]
-    pub fn with_faults(mut self, injector: Arc<FaultInjector>) -> Self {
+    pub fn with_faults(mut self, injector: FaultInjector) -> Self {
         self.faults = Some(injector);
         self
-    }
-
-    /// The peer's address, for error messages.
-    #[must_use]
-    pub fn peer(&self) -> &str {
-        &self.peer
     }
 
     /// Sends one message, rolling the fault plan first: a partitioned or
@@ -321,7 +309,7 @@ impl FramedConn {
     /// # Errors
     /// Socket errors, encode failures, injected disconnects.
     pub fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        if let Some(faults) = &self.faults {
+        if let Some(faults) = &mut self.faults {
             if faults.partitioned() {
                 return Ok(());
             }
@@ -330,7 +318,7 @@ impl FramedConn {
                 Fault::Drop => return Ok(()),
                 Fault::Delay(d) => std::thread::sleep(d),
                 Fault::Disconnect => {
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                    let _ = self.stream.shutdown(Shutdown::Both);
                     return Err(TransportError::Closed);
                 }
             }
@@ -356,8 +344,8 @@ impl FramedConn {
     /// Receives one message; on an idle read timeout (no byte of the next
     /// frame arrived yet) consults `keep_waiting` — `true` keeps
     /// listening, `false` gives up with [`TransportError::TimedOut`].
-    /// Accept loops pass their shutdown flag here so an idle connection
-    /// thread can wind down promptly without dropping mid-frame.
+    /// The serve loop passes its shutdown flag here, so an idle accepted
+    /// connection outlives any number of read timeouts but never a stop.
     ///
     /// Receive-side faults are rolled *after* a frame fully arrives: a
     /// partitioned or dropped frame is swallowed (bytes counted, message
@@ -372,7 +360,7 @@ impl FramedConn {
     ) -> Result<Message, TransportError> {
         loop {
             let msg = self.recv_frame(keep_waiting)?;
-            if let Some(faults) = &self.faults {
+            if let Some(faults) = &mut self.faults {
                 if faults.partitioned() {
                     continue;
                 }
@@ -461,6 +449,249 @@ fn classify(e: &std::io::Error) -> TransportError {
     }
 }
 
+/// The one outbound path: idle connections pooled per peer address, as
+/// many per peer as the caller's peak concurrency towards it (a publish
+/// racing a heartbeat never shares a stream), so steady traffic dials
+/// nothing.
+///
+/// A connection returns to the pool only when its call succeeds, so a
+/// poisoned stream never serves a later call. A pooled stream can be
+/// *stale* (the peer restarted, or a fault tore it); every call in the
+/// fabric is idempotent, so a transport failure on one falls through to
+/// exactly one fresh dial before it surfaces. Wire errors are typed peer
+/// answers, not staleness, and surface at once.
+#[derive(Debug)]
+pub(crate) struct ConnPool {
+    io_timeout: Duration,
+    fault: Option<FaultPlan>,
+    counters: Arc<WireCounters>,
+    idle: Mutex<HashMap<String, Vec<FramedConn>>>,
+    /// Fault-injector index of the next dial.
+    next_conn: AtomicU64,
+    reconnects: AtomicU64,
+}
+
+impl ConnPool {
+    /// An empty pool dialing with `io_timeout`, injecting `fault` on
+    /// every connection it opens, and counting bytes into `counters`.
+    pub(crate) fn new(
+        io_timeout: Duration,
+        fault: Option<FaultPlan>,
+        counters: Arc<WireCounters>,
+    ) -> Self {
+        Self {
+            io_timeout,
+            fault,
+            counters,
+            idle: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
+            reconnects: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `f` over a pooled (or freshly dialed) connection to `addr`.
+    pub(crate) fn with_conn<T>(
+        &self,
+        addr: &str,
+        mut f: impl FnMut(&mut FramedConn) -> Result<T, TransportError>,
+    ) -> Result<T, TransportError> {
+        // Bind the pooled entry first: an `if let` on the locked pool
+        // would hold the guard across the call (and deadlock on return).
+        let pooled = lock_clean(&self.idle).get_mut(addr).and_then(Vec::pop);
+        if let Some(mut conn) = pooled {
+            match f(&mut conn) {
+                Ok(out) => {
+                    self.park(addr, conn);
+                    return Ok(out);
+                }
+                Err(e @ TransportError::Wire(_)) => return Err(e),
+                Err(_) => {
+                    self.reconnects.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let mut conn = FramedConn::connect(addr, self.io_timeout, Arc::clone(&self.counters))?;
+        if let Some(plan) = &self.fault {
+            conn = conn.with_faults(plan.injector(self.next_conn.fetch_add(1, Ordering::Relaxed)));
+        }
+        let out = f(&mut conn)?;
+        self.park(addr, conn);
+        Ok(out)
+    }
+
+    /// One round trip to `addr`.
+    pub(crate) fn call(&self, addr: &str, msg: &Message) -> Result<Message, TransportError> {
+        self.with_conn(addr, |conn| conn.call(msg))
+    }
+
+    fn park(&self, addr: &str, conn: FramedConn) {
+        lock_clean(&self.idle)
+            .entry(addr.to_string())
+            .or_default()
+            .push(conn);
+    }
+
+    /// Closes the idle connections to every address `keep` rejects.
+    pub(crate) fn retain(&self, mut keep: impl FnMut(&str) -> bool) {
+        lock_clean(&self.idle).retain(|addr, _| keep(addr));
+    }
+
+    /// Stale pooled connections replaced by a fresh dial.
+    pub(crate) fn reconnects(&self) -> u64 {
+        self.reconnects.load(Ordering::Relaxed)
+    }
+}
+
+/// How often an idle accept loop checks for shutdown and runs its idle
+/// hook. With pooled callers only a peer's first call waits on it.
+pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(10);
+
+/// Binds a loopback listener on an ephemeral port.
+pub(crate) fn bind_loopback() -> Result<(TcpListener, String), ClusterError> {
+    let invalid = |what: &str, e: std::io::Error| ClusterError::InvalidConfig {
+        reason: format!("{what}: {e}"),
+    };
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| invalid("cannot bind a loopback listener", e))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| invalid("listener has no local address", e))?;
+    Ok((listener, addr.to_string()))
+}
+
+/// What one listener serves with: fixed at spawn, shared by its threads.
+struct ServerShared {
+    io_timeout: Duration,
+    counters: Arc<WireCounters>,
+    fault: Option<FaultPlan>,
+    /// The role's protocol: one reply per inbound message.
+    handler: Box<dyn Fn(Message) -> Message + Send + Sync>,
+    shutdown: AtomicBool,
+    /// Fault-injector index of the next accepted connection, which is
+    /// also the count accepted so far.
+    next_conn: AtomicU64,
+    /// Live connection threads, each with a clone of its socket so
+    /// [`Server::stop`] can close it under an idle reader.
+    conns: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
+}
+
+/// The one inbound path: an accept thread plus one thread per accepted
+/// connection, each answering frames with the role's handler until the
+/// peer leaves or the server stops.
+pub(crate) struct Server {
+    shared: Arc<ServerShared>,
+    accept: JoinHandle<()>,
+}
+
+impl Server {
+    /// Serves `listener` on a background accept thread. Accepted
+    /// connections get `io_timeout` and, when `fault` is set, the
+    /// injector for their accept index; wire garbage is answered `Bad`
+    /// and the connection keeps serving. `idle` runs on every accept
+    /// poll that finds nothing pending.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        io_timeout: Duration,
+        counters: Arc<WireCounters>,
+        fault: Option<FaultPlan>,
+        handler: impl Fn(Message) -> Message + Send + Sync + 'static,
+        idle: impl Fn() + Send + 'static,
+    ) -> Self {
+        let shared = Arc::new(ServerShared {
+            io_timeout,
+            counters,
+            fault,
+            handler: Box::new(handler),
+            shutdown: AtomicBool::new(false),
+            next_conn: AtomicU64::new(0),
+            conns: Mutex::new(Vec::new()),
+        });
+        let accept = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared, &idle))
+        };
+        Self { shared, accept }
+    }
+
+    /// Connections accepted so far.
+    #[cfg(test)]
+    pub(crate) fn accepted(&self) -> u64 {
+        self.shared.next_conn.load(Ordering::Relaxed)
+    }
+
+    /// Stops accepting, closes every accepted stream (idle pooled peers
+    /// included, so nothing waits out a read timeout), and joins every
+    /// thread.
+    pub(crate) fn stop(self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.accept.join();
+        let conns = std::mem::take(&mut *lock_clean(&self.shared.conns));
+        for (stream, handle) in conns {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = handle.join();
+        }
+    }
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, idle: &dyn Fn()) {
+    if listener.set_nonblocking(true).is_err() {
+        return;
+    }
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let index = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+                let Ok(closer) = stream.try_clone() else {
+                    continue;
+                };
+                let handle = {
+                    let shared = Arc::clone(shared);
+                    std::thread::spawn(move || serve_conn(stream, index, &shared))
+                };
+                // Reap finished connection threads on the way in, so a
+                // long-lived listener tracks only its live connections.
+                let mut conns = lock_clean(&shared.conns);
+                conns.retain(|(_, h)| !h.is_finished());
+                conns.push((closer, handle));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                idle();
+                std::thread::sleep(ACCEPT_POLL);
+            }
+            Err(_) => break,
+        }
+    }
+}
+
+fn serve_conn(stream: TcpStream, index: u64, shared: &ServerShared) {
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
+    let Ok(mut conn) =
+        FramedConn::from_stream(stream, shared.io_timeout, Arc::clone(&shared.counters))
+    else {
+        return;
+    };
+    if let Some(plan) = &shared.fault {
+        conn = conn.with_faults(plan.injector(index));
+    }
+    loop {
+        let reply = match conn.recv_idle(&mut || !shared.shutdown.load(Ordering::SeqCst)) {
+            Ok(msg) => (shared.handler)(msg),
+            // Garbage on the wire: answer typed, then keep serving.
+            Err(TransportError::Wire(e)) => Message::Bad {
+                detail: e.to_string(),
+            },
+            // The peer left, or the server is stopping: wind down.
+            Err(_) => return,
+        };
+        // A busy peer never idles into the shutdown check above.
+        if conn.send(&reply).is_err() || shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +746,7 @@ mod tests {
             drop_per_mille: 1000,
             ..FaultPlan::quiet(7)
         };
-        let mut client = client.with_faults(Arc::new(plan.injector(0)));
+        let mut client = client.with_faults(plan.injector(0));
         client
             .send(&Message::Ping { seq: 1 })
             .expect("drop is silent");
@@ -533,7 +764,7 @@ mod tests {
             disconnect_per_mille: 1000,
             ..FaultPlan::quiet(7)
         };
-        let mut client = client.with_faults(Arc::new(plan.injector(3)));
+        let mut client = client.with_faults(plan.injector(3));
         assert!(matches!(
             client
                 .send(&Message::Ping { seq: 1 })
@@ -557,16 +788,16 @@ mod tests {
             ..FaultPlan::quiet(99)
         };
         let a: Vec<_> = {
-            let inj = plan.injector(5);
+            let mut inj = plan.injector(5);
             (0..64).map(|_| (inj.roll(), inj.recv_roll())).collect()
         };
         let b: Vec<_> = {
-            let inj = plan.injector(5);
+            let mut inj = plan.injector(5);
             (0..64).map(|_| (inj.roll(), inj.recv_roll())).collect()
         };
         assert_eq!(a, b);
         let other: Vec<_> = {
-            let inj = plan.injector(6);
+            let mut inj = plan.injector(6);
             (0..64).map(|_| (inj.roll(), inj.recv_roll())).collect()
         };
         assert_ne!(a, other);
@@ -584,7 +815,7 @@ mod tests {
             recv_drop_per_mille: 1000,
             ..FaultPlan::quiet(11)
         };
-        let mut server = server.with_faults(Arc::new(plan.injector(0)));
+        let mut server = server.with_faults(plan.injector(0));
         client.send(&Message::Ping { seq: 9 }).expect("send");
         // The bytes cross the socket, but the receiver swallows the frame
         // and keeps waiting until its idle timeout fires.
@@ -607,7 +838,7 @@ mod tests {
             partition_len: 4,
             ..FaultPlan::quiet(3)
         };
-        let mut client = client.with_faults(Arc::new(plan.injector(0)));
+        let mut client = client.with_faults(plan.injector(0));
         client.send(&Message::Ping { seq: 1 }).expect("silent");
         assert_eq!(
             client.counters.totals().0,
@@ -640,7 +871,7 @@ mod tests {
         // consecutive frames are blacked out, the pattern repeats with
         // the period, and the blackout frames are contiguous (cyclically).
         for index in 0..16 {
-            let inj = plan.injector(index);
+            let mut inj = plan.injector(index);
             let pattern: Vec<bool> = (0..16).map(|_| inj.partitioned()).collect();
             for window in pattern.windows(4) {
                 assert_eq!(window.iter().filter(|&&b| b).count(), 2, "{pattern:?}");
@@ -653,6 +884,103 @@ mod tests {
         // may be born partitioned.
         let clean_start = (0..16).any(|index| !plan.injector(index).partitioned());
         assert!(clean_start, "every connection starts inside the blackout");
+    }
+
+    fn echo_server() -> (Server, String) {
+        let (listener, addr) = bind_loopback().expect("bind");
+        let server = Server::spawn(
+            listener,
+            Duration::from_secs(2),
+            Arc::new(WireCounters::default()),
+            None,
+            |msg| match msg {
+                Message::Ping { seq } => Message::Pong { seq, epoch: 0 },
+                other => other,
+            },
+            || {},
+        );
+        (server, addr)
+    }
+
+    #[test]
+    fn serve_loop_reaps_finished_connection_threads() {
+        let (server, addr) = echo_server();
+        let mut peak = 0;
+        for seq in 0..200 {
+            let mut conn = FramedConn::connect(
+                &addr,
+                Duration::from_secs(2),
+                Arc::new(WireCounters::default()),
+            )
+            .expect("connect");
+            assert_eq!(
+                conn.call(&Message::Ping { seq }).expect("call"),
+                Message::Pong { seq, epoch: 0 }
+            );
+            drop(conn);
+            peak = peak.max(lock_clean(&server.shared.conns).len());
+        }
+        assert_eq!(server.accepted(), 200);
+        assert!(
+            peak <= 8,
+            "{peak} connection threads tracked for one live peer"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn pool_reuses_one_connection_and_redials_a_stale_one() {
+        // A peer that serves 20 calls on its first connection, hangs up,
+        // then serves one call on its second.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            for calls in [20, 1] {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut conn = FramedConn::from_stream(
+                    stream,
+                    Duration::from_secs(2),
+                    Arc::new(WireCounters::default()),
+                )
+                .expect("wrap");
+                for _ in 0..calls {
+                    let msg = conn.recv().expect("recv");
+                    conn.send(&msg).expect("send");
+                }
+            }
+        });
+        let pool = ConnPool::new(
+            Duration::from_secs(2),
+            None,
+            Arc::new(WireCounters::default()),
+        );
+        for seq in 0..21 {
+            let reply = pool.call(&addr, &Message::Ping { seq }).expect("call");
+            assert_eq!(reply, Message::Ping { seq });
+        }
+        // 21 calls over two accepted connections: the stale one was
+        // replaced by exactly one fresh dial.
+        assert_eq!(pool.reconnects(), 1);
+        peer.join().expect("peer served both connections");
+    }
+
+    #[test]
+    fn stop_closes_idle_accepted_connections_at_once() {
+        let (server, addr) = echo_server();
+        let mut conn = FramedConn::connect(
+            &addr,
+            Duration::from_secs(2),
+            Arc::new(WireCounters::default()),
+        )
+        .expect("connect");
+        conn.call(&Message::Ping { seq: 1 }).expect("call");
+        let started = std::time::Instant::now();
+        server.stop();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "stop waited on an idle peer"
+        );
+        assert!(conn.recv().is_err(), "the peer's stream stayed open");
     }
 
     #[test]

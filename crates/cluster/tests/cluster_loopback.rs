@@ -747,3 +747,33 @@ fn stale_publish_is_rejected_and_newer_snapshot_wins() {
     controller.shutdown();
     node.kill();
 }
+
+#[test]
+fn kill_returns_at_once_with_an_idle_pooled_client_connection() {
+    let graph = campus(120, 4);
+    let engine = engine_for(&graph);
+    let map = ShardMap::balanced(&graph, 2).unwrap();
+    let controller = ClusterController::start(map, fast_controller()).unwrap();
+    let node = ShardNode::start(controller.addr(), NodeConfig::default()).unwrap();
+    controller
+        .wait_for_nodes(1, Duration::from_secs(5))
+        .unwrap();
+    controller.publish(&engine.snapshot().unwrap()).unwrap();
+
+    // One query parks a connection to the node in the client's pool; the
+    // node's thread for it now sits idle in a read with the default 2 s
+    // io_timeout.
+    let client = ClusterClient::new(controller.addr(), ClientConfig::default());
+    client.top_k(3).unwrap();
+    assert_eq!(NodeConfig::default().io_timeout, Duration::from_secs(2));
+
+    let started = Instant::now();
+    node.kill();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "kill waited {took:?} on an idle peer"
+    );
+
+    controller.shutdown();
+}

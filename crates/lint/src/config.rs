@@ -103,15 +103,23 @@ pub fn workspace() -> LintConfig {
                 tiers: &[&["gate"]],
             },
             LockOrder {
-                // One publish at a time, then the control state, then
-                // connection/auxiliary thread registries.
+                // One publish at a time, then the control state (an
+                // eviction prunes the outbound pool under it), then the
+                // catch-up thread registry.
                 file: "crates/cluster/src/controller.rs",
-                tiers: &[&["publish_gate"], &["state"], &["conns"], &["aux"]],
+                tiers: &[&["publish_gate"], &["state"], &["pool"], &["aux"]],
             },
             LockOrder {
                 // Commit swaps serving while consuming the staged set.
                 file: "crates/cluster/src/node.rs",
-                tiers: &[&["serving"], &["staged"], &["conns"]],
+                tiers: &[&["serving"], &["staged"]],
+            },
+            LockOrder {
+                // The outbound pool's idle map and the listener's
+                // connection registry are leaves: neither is held while
+                // the other is taken.
+                file: "crates/cluster/src/transport.rs",
+                tiers: &[&["idle"], &["conns"]],
             },
             LockOrder {
                 file: "crates/cluster/src/client.rs",

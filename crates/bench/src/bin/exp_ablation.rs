@@ -39,9 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     section("E8: BlockRank vs the layered method");
     let site_labels: Vec<usize> = graph.site_assignments().iter().map(|s| s.index()).collect();
+    let adjacency = graph.to_csr();
     let (block, t_block) = timed(|| {
         blockrank(
-            &graph.adjacency().clone(),
+            &adjacency,
             &site_labels,
             graph.n_sites(),
             &PageRankConfig::default(),
@@ -71,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("        the LMM SiteGraph uses raw link counts (parallel).");
 
     section("E8b: HITS baseline (authorities)");
-    let h = hits(graph.adjacency(), &HitsConfig::default())?;
+    let h = hits(&adjacency, &HitsConfig::default())?;
     println!(
         "  spam@15 HITS authorities: {:.0}% (TKC effect; cf. the paper's HITS critique)",
         100.0 * metrics::labeled_share_at_k(&h.authorities, &spam, 15)

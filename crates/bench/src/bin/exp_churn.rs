@@ -221,8 +221,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (delta, kind) = churn_delta(&current, step);
         let base_sites = current.n_sites();
         // Timed separately: the graph-only patch cost, which the
-        // copy-on-write URL/kind/membership columns keep O(delta + sites)
-        // for append-only deltas instead of O(n_docs) clones per apply.
+        // copy-on-write link/URL/kind blocks and the patched SiteLink
+        // counts keep proportional to what the delta touches.
         let (applied_pair, apply_wall) = timed(|| current.apply(&delta));
         let (mutated, applied) = applied_pair?;
 
@@ -380,6 +380,8 @@ fn render_json(
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench\": \"exp_churn\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
+    let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let _ = writeln!(out, "  \"host_threads\": {host_threads},");
     let _ = writeln!(out, "  \"final_doc_slots\": {},", final_graph.n_docs());
     let _ = writeln!(out, "  \"final_live_docs\": {},", final_graph.n_live_docs());
     let _ = writeln!(out, "  \"final_site_slots\": {},", final_graph.n_sites());

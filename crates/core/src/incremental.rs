@@ -33,7 +33,7 @@
 //! engine's `apply_delta`. [`remap_result`] carries a layered result
 //! across an explicit [`DocGraph::compact_ids`] densification, so
 //! surviving sites warm-start straight through the
-//! [`IdRemap`](lmm_graph::remap::IdRemap). The tests verify every pipeline
+//! [`IdRemap`]. The tests verify every pipeline
 //! reproduces a from-scratch recomputation.
 
 use std::sync::Arc;
@@ -1042,11 +1042,10 @@ mod tests {
         // Add a brand-new intra-site link (count +1, not a rewire): find a
         // doc pair inside site 4 that the generator did not already link.
         let docs = old.docs_of_site(SiteId(4));
-        let adj = old.adjacency();
         let (a, b) = docs
             .iter()
             .flat_map(|&a| docs.iter().map(move |&b| (a, b)))
-            .find(|&(a, b)| a != b && adj.get(a.index(), b.index()) == 0.0)
+            .find(|&(a, b)| a != b && !old.has_link(a, b))
             .expect("site 4 is not a complete digraph");
         let mut gd = GraphDelta::for_graph(&old);
         gd.add_link(a, b).unwrap();

@@ -407,7 +407,7 @@ pub fn flat_pagerank(
         .tol(power.tol)
         .max_iters(power.max_iters)
         .threads(threads);
-    Ok(pr.run_adjacency(graph.adjacency().clone())?)
+    Ok(pr.run_adjacency(graph.to_csr())?)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! edge) through a strong 64-bit finalizer and combines the element hashes
 //! with **wrapping addition**. Addition is commutative and invertible, so
 //! the exact edge diff reported by
-//! [`AppliedDelta`](lmm_graph::delta::AppliedDelta) composes in O(delta):
+//! [`AppliedDelta`] composes in O(delta):
 //! add the terms of added links and appended documents, subtract the terms
 //! of removed links. [`GraphFingerprint::compose`] is *exact* — it equals
 //! [`GraphFingerprint::of`] on the mutated graph bit for bit (a regression
@@ -95,8 +95,9 @@ impl GraphFingerprint {
                 hash = hash.wrapping_add(assign_term(doc.index(), site));
             }
         }
-        for (src, dst, v) in graph.adjacency().iter() {
-            hash = hash.wrapping_add(edge_term(src, dst, v.to_bits()));
+        let unit = 1.0f64.to_bits();
+        for (src, dst) in graph.links() {
+            hash = hash.wrapping_add(edge_term(src.index(), dst.index(), unit));
         }
         Self {
             n_docs: graph.n_docs(),

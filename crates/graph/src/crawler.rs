@@ -114,8 +114,7 @@ pub fn crawl(source: &DocGraph, config: &CrawlConfig) -> Result<CrawlResult> {
             break;
         };
         visited.push(doc);
-        let (cols, _) = source.adjacency().row(doc.index());
-        for &dst in cols {
+        for &dst in source.out_links(doc) {
             if !visited_mark[dst] {
                 visited_mark[dst] = true;
                 frontier.push_back(DocId(dst));
@@ -138,8 +137,7 @@ pub fn crawl(source: &DocGraph, config: &CrawlConfig) -> Result<CrawlResult> {
         );
     }
     for (i, d) in visited.iter().enumerate() {
-        let (cols, _) = source.adjacency().row(d.index());
-        for &dst in cols {
+        for &dst in source.out_links(*d) {
             if new_id[dst] != usize::MAX {
                 builder
                     .add_link(DocId(i), DocId(new_id[dst]))
@@ -206,7 +204,7 @@ mod tests {
         for (from, to) in r.graph.links() {
             let src = r.visited[from.index()];
             let dst = r.visited[to.index()];
-            assert_eq!(g.adjacency().get(src.index(), dst.index()), 1.0);
+            assert!(g.has_link(src, dst));
         }
     }
 
@@ -217,7 +215,7 @@ mod tests {
         assert_eq!(r.visited[0], DocId(0));
         // The root's direct out-neighbors come before anything else that is
         // not a neighbor (BFS level property for the first layer).
-        let (neighbors, _) = g.adjacency().row(0);
+        let neighbors = g.out_links(DocId(0));
         let first_after_root = r.visited[1];
         assert!(neighbors.contains(&first_after_root.index()));
     }

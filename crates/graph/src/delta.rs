@@ -36,10 +36,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
+use crate::blocks::DocBitmap;
 use crate::docgraph::{DocGraph, PageKind};
 use crate::error::{GraphError, Result};
 use crate::ids::{DocId, SiteId};
-use lmm_linalg::CsrMatrix;
 
 /// One recorded link mutation. Ordered replay makes add/remove on the same
 /// pair behave like sequential edits.
@@ -599,15 +599,27 @@ impl DocGraph {
     /// densification step).
     ///
     /// This is the hot path of live re-ranking, so it **patches** rather
-    /// than rebuilds: untouched adjacency rows are copied wholesale, only
-    /// rows named by the delta's link ops (or holding a link to a removed
-    /// document) are edited, the URL/kind columns share their existing
-    /// segments copy-on-write, and the induced summary falls out of the
-    /// same pass — the per-row diffs between old and new edge sets. No-op
-    /// mutations (removing an absent link, re-adding an existing one,
-    /// net-zero cross rewires) therefore never mark a layer stale.
-    /// Append-only deltas cost O(delta + sites); deltas that remove pages
-    /// additionally scan the adjacency once to drop in-links of the dead.
+    /// than rebuilds. The new graph shares every link, URL and kind block
+    /// (`BLOCK_ROWS` documents each) that holds no edited or appended row,
+    /// and every site's member list and SiteLink count row that the delta
+    /// leaves alone. The induced summary and the SiteLink count patch fall
+    /// out of the same pass — the per-row diffs between old and new edge
+    /// sets. No-op mutations (removing an absent link, re-adding an
+    /// existing one, net-zero cross rewires) therefore never mark a layer
+    /// stale.
+    ///
+    /// Costs, for `n` document slots and `S` site slots:
+    /// * every delta: O(n / `BLOCK_ROWS` + S) pointer copies, plus one
+    ///   rebuilt block per block holding an edited row (O(`BLOCK_ROWS` +
+    ///   its links)) and one rebuilt count row per source site whose
+    ///   SiteLink counts changed;
+    /// * adding pages: the partial last block of each column is topped up
+    ///   and the site-assignment vector is copied (O(n));
+    /// * adding sites: the names are checked against every existing name
+    ///   (O(S));
+    /// * removing pages or sites: an O(n) dead bitmap and one read-only
+    ///   scan of the links to find the rows linking to the dead; only the
+    ///   blocks holding such a row are rebuilt.
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidDelta`] when the delta was built
@@ -631,19 +643,19 @@ impl DocGraph {
         }
         let n_base_docs = self.n_docs();
         let n_base_sites = self.n_sites();
-        let mut names: HashSet<&str> = (0..n_base_sites)
-            .map(|s| self.site_name(SiteId(s)))
-            .collect();
-        for name in &delta.new_sites {
-            if name.is_empty() {
-                return Err(GraphError::InvalidDelta {
-                    reason: "new site name is empty".into(),
-                });
-            }
-            if !names.insert(name) {
-                return Err(GraphError::InvalidDelta {
-                    reason: format!("new site name {name:?} already exists"),
-                });
+        if !delta.new_sites.is_empty() {
+            let mut names: HashSet<&str> = self.site_names.iter().map(String::as_str).collect();
+            for name in &delta.new_sites {
+                if name.is_empty() {
+                    return Err(GraphError::InvalidDelta {
+                        reason: "new site name is empty".into(),
+                    });
+                }
+                if !names.insert(name) {
+                    return Err(GraphError::InvalidDelta {
+                        reason: format!("new site name {name:?} already exists"),
+                    });
+                }
             }
         }
 
@@ -727,13 +739,10 @@ impl DocGraph {
                     .push(DocId(id));
             }
         }
-        // Every surviving site must stay non-empty.
-        for s in 0..n_base_sites {
-            if !self.is_live_site(SiteId(s)) || delta.removed_sites.contains(&s) {
-                continue;
-            }
-            let size = self.site_size(SiteId(s)) + appended.get(&s).map_or(0, Vec::len)
-                - lost.get(&s).copied().unwrap_or(0);
+        // Every surviving site must stay non-empty; only explicit page
+        // removals can empty one (live sites are never empty).
+        for (&s, &n_lost) in &lost {
+            let size = self.site_size(SiteId(s)) + appended.get(&s).map_or(0, Vec::len) - n_lost;
             if size == 0 {
                 return Err(GraphError::InvalidDelta {
                     reason: format!(
@@ -773,35 +782,49 @@ impl DocGraph {
         cold.extend(removed_sites.iter().copied());
 
         // Group link ops by source row, preserving replay order within a
-        // row: a removal only erases links present *at that point*, so
-        // add-then-remove deletes and remove-then-add restores — the same
-        // result as sequential edits.
-        let mut ops_by_src: HashMap<usize, Vec<(usize, bool)>> = HashMap::new();
-        for op in &delta.link_ops {
-            match *op {
-                LinkOp::Add(from, to) => ops_by_src
-                    .entry(from.index())
-                    .or_default()
-                    .push((to.index(), true)),
-                LinkOp::Remove(from, to) => ops_by_src
-                    .entry(from.index())
-                    .or_default()
-                    .push((to.index(), false)),
-            }
-        }
+        // row (the sort is stable): a removal only erases links present *at
+        // that point*, so add-then-remove deletes and remove-then-add
+        // restores — the same result as sequential edits.
+        let mut ops: Vec<(usize, usize, bool)> = delta
+            .link_ops
+            .iter()
+            .map(|op| match *op {
+                LinkOp::Add(from, to) => (from.index(), to.index(), true),
+                LinkOp::Remove(from, to) => (from.index(), to.index(), false),
+            })
+            .collect();
+        ops.sort_by_key(|&(src, _, _)| src);
 
         let n_docs = delta.result_docs();
-        let base = self.adjacency();
-        let mut row_ptr = Vec::with_capacity(n_docs + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<usize> = Vec::with_capacity(base.nnz() + delta.link_ops.len());
+        // A dense bitmap of the newly dead, only when something dies: the
+        // rows linking to them are found by one read-only scan of the link
+        // blocks instead of a set lookup per column.
+        let dead_mask =
+            (!dead_new.is_empty()).then(|| DocBitmap::new(n_docs, dead_new.iter().copied()));
+        // A target is dead when tombstoned by this delta or already dead in
+        // the base (live base rows never hold old-dead columns, but link
+        // ops may name them).
+        let is_dead = |d: usize| -> bool {
+            dead_mask.as_ref().is_some_and(|m| m.contains(d))
+                || (d < n_base_docs && !self.is_live_doc(DocId(d)))
+        };
+        // The rows this delta edits, ascending: sources of link ops, rows
+        // that die, and rows holding a link to a newly dead document.
+        let mut rows: Vec<usize> = ops.iter().map(|&(src, _, _)| src).collect();
+        rows.extend(dead_new.iter().copied().filter(|&d| d < n_base_docs));
+        if let Some(mask) = &dead_mask {
+            rows.extend(self.links.rows_linking(mask));
+        }
+        rows.sort_unstable();
+        rows.dedup();
 
         let mut changed: BTreeSet<usize> = BTreeSet::new();
-        // Net cross-link count change per ordered site pair: the SiteRank
-        // depends on the *counts*, so a rewire that removes one s->t link
-        // and adds another leaves it fresh — exactly like comparing the
-        // derived SiteGraphs, at O(ops) instead of O(E).
-        let mut cross_deltas: HashMap<(usize, usize), i64> = HashMap::new();
+        // Net link count change per ordered site pair (diagonal included):
+        // it patches the stored SiteLink counts, and the SiteRank depends
+        // only on the cross-site *counts*, so a rewire that removes one
+        // s->t link and adds another leaves it fresh — exactly like
+        // comparing the derived SiteGraphs, at O(delta) instead of O(E).
+        let mut site_diffs: BTreeMap<(usize, usize), i64> = BTreeMap::new();
         let mut links_added: Vec<(DocId, DocId)> = Vec::new();
         let mut links_removed: Vec<(DocId, DocId)> = Vec::new();
         let mut record_change = |src: usize, dst: usize, sign: i64| {
@@ -812,60 +835,52 @@ impl DocGraph {
             }
             let s = delta.site_of_ref(self, DocId(src)).index();
             let t = delta.site_of_ref(self, DocId(dst)).index();
-            if s == t {
-                if s < n_base_sites && !cold.contains(&s) {
-                    changed.insert(s);
-                }
-            } else {
-                *cross_deltas.entry((s, t)).or_insert(0) += sign;
+            if s == t && s < n_base_sites && !cold.contains(&s) {
+                changed.insert(s);
             }
+            *site_diffs.entry((s, t)).or_insert(0) += sign;
         };
 
-        // A target is dead when tombstoned by this delta or already dead in
-        // the base (live base rows never hold old-dead columns, but link
-        // ops may name them).
-        let is_dead = |d: usize| -> bool {
-            dead_new.contains(&d) || (d < n_base_docs && !self.is_live_doc(DocId(d)))
-        };
-        for row in 0..n_docs {
+        // Rows are visited in ascending order and each row's diff in
+        // column order, so the recorded edge diffs come out sorted.
+        let mut edits: Vec<(usize, Vec<usize>)> = Vec::with_capacity(rows.len());
+        let mut next_op = 0usize;
+        for &row in &rows {
             let base_cols: &[usize] = if row < n_base_docs {
-                base.row(row).0
+                self.links.row(row)
             } else {
                 &[]
             };
+            let first_op = next_op;
+            while ops.get(next_op).is_some_and(|&(src, _, _)| src == row) {
+                next_op += 1;
+            }
             if is_dead(row) {
                 // The whole row dies; every base link is a real removal.
                 for &b in base_cols {
                     record_change(row, b, -1);
                 }
-                row_ptr.push(col_idx.len());
+                if !base_cols.is_empty() {
+                    edits.push((row, Vec::new()));
+                }
                 continue;
             }
-            let ops = ops_by_src.get(&row);
-            let holds_dead =
-                !dead_new.is_empty() && base_cols.iter().any(|&c| dead_new.contains(&c));
-            if ops.is_none() && !holds_dead {
-                col_idx.extend_from_slice(base_cols);
-                row_ptr.push(col_idx.len());
-                continue;
-            }
-            let mut set: BTreeSet<usize> = base_cols.iter().copied().collect();
-            if let Some(ops) = ops {
-                for &(dst, is_add) in ops {
-                    if is_add {
-                        set.insert(dst);
-                    } else {
-                        set.remove(&dst);
+            let mut cols = base_cols.to_vec();
+            for &(_, dst, is_add) in &ops[first_op..next_op] {
+                match cols.binary_search(&dst) {
+                    Err(at) if is_add => cols.insert(at, dst),
+                    Ok(at) if !is_add => {
+                        cols.remove(at);
                     }
+                    _ => {}
                 }
             }
-            set.retain(|&c| !is_dead(c));
-            let final_cols: Vec<usize> = set.into_iter().collect();
+            cols.retain(|&c| !is_dead(c));
             // Sorted merge-diff of base vs final edge sets — only *real*
             // changes feed the induced delta.
             let (mut i, mut j) = (0usize, 0usize);
-            while i < base_cols.len() || j < final_cols.len() {
-                match (base_cols.get(i), final_cols.get(j)) {
+            while i < base_cols.len() || j < cols.len() {
+                match (base_cols.get(i), cols.get(j)) {
                     (Some(&b), Some(&f)) if b == f => {
                         i += 1;
                         j += 1;
@@ -885,30 +900,31 @@ impl DocGraph {
                     (None, None) => unreachable!("loop condition"),
                 }
             }
-            col_idx.extend_from_slice(&final_cols);
-            row_ptr.push(col_idx.len());
+            if cols != base_cols {
+                edits.push((row, cols));
+            }
         }
-        let values = vec![1.0f64; col_idx.len()];
-        let adjacency = CsrMatrix::from_raw_parts(n_docs, n_docs, row_ptr, col_idx, values)
-            .map_err(|e| GraphError::InvalidDelta {
-                reason: format!("patched adjacency is inconsistent: {e}"),
-            })?;
+        let links = self.links.patch(n_docs, &edits);
+        let site_links = self.site_links.patch(delta.result_sites(), &site_diffs);
 
         // --- Columnar storage: copy-on-write extension + targeted member
         // rebuilds (existing entries keep their positions — that is the
         // renumbering guarantee). ---
         let urls = self
             .urls
-            .append(delta.new_pages.iter().map(|p| p.url.clone()).collect());
-        let kinds = self
-            .kinds
-            .append(delta.new_pages.iter().map(|p| p.kind).collect());
-        let mut site_of = self.site_of.clone();
-        site_of.extend(delta.new_pages.iter().map(|p| p.site));
-        let mut site_names = self.site_names.clone();
-        site_names.extend(delta.new_sites.iter().cloned());
+            .append(delta.new_pages.iter().map(|p| p.url.clone()));
+        let kinds = self.kinds.append(delta.new_pages.iter().map(|p| p.kind));
+        let site_of = if delta.new_pages.is_empty() {
+            Arc::clone(&self.site_of)
+        } else {
+            let mut site_of = Vec::with_capacity(n_docs);
+            site_of.extend_from_slice(&self.site_of);
+            site_of.extend(delta.new_pages.iter().map(|p| p.site));
+            Arc::new(site_of)
+        };
+        let site_names = self.site_names.append(delta.new_sites.iter().cloned());
         let mut site_members = self.site_members.clone();
-        site_members.resize(site_names.len(), Arc::new(Vec::new()));
+        site_members.resize(delta.result_sites(), Arc::new(Vec::new()));
         let mut rebuild: BTreeSet<usize> = appended.keys().copied().collect();
         rebuild.extend(lost.keys().copied());
         rebuild.extend(removed_sites.iter().copied());
@@ -929,12 +945,22 @@ impl DocGraph {
             }
             site_members[s] = Arc::new(members);
         }
-        let mut dead_docs: Vec<DocId> = self.dead_docs.as_ref().clone();
-        dead_docs.extend(dead_new.iter().map(|&d| DocId(d)));
-        dead_docs.sort_unstable();
-        let mut dead_sites: Vec<SiteId> = self.dead_sites.as_ref().clone();
-        dead_sites.extend(delta.removed_sites.iter().map(|&s| SiteId(s)));
-        dead_sites.sort_unstable();
+        let dead_docs = if dead_new.is_empty() {
+            Arc::clone(&self.dead_docs)
+        } else {
+            let mut dead_docs: Vec<DocId> = self.dead_docs.as_ref().clone();
+            dead_docs.extend(dead_new.iter().map(|&d| DocId(d)));
+            dead_docs.sort_unstable();
+            Arc::new(dead_docs)
+        };
+        let dead_sites = if delta.removed_sites.is_empty() {
+            Arc::clone(&self.dead_sites)
+        } else {
+            let mut dead_sites: Vec<SiteId> = self.dead_sites.as_ref().clone();
+            dead_sites.extend(delta.removed_sites.iter().map(|&s| SiteId(s)));
+            dead_sites.sort_unstable();
+            Arc::new(dead_sites)
+        };
 
         let removed_doc_sites: Vec<SiteId> = dead_new
             .iter()
@@ -954,9 +980,10 @@ impl DocGraph {
             site_of,
             site_names,
             site_members,
-            dead_docs: Arc::new(dead_docs),
-            dead_sites: Arc::new(dead_sites),
-            adjacency,
+            dead_docs,
+            dead_sites,
+            links,
+            site_links,
         };
 
         let added_sites = delta.new_sites.len();
@@ -965,7 +992,7 @@ impl DocGraph {
             .count();
         let cross_links_changed = live_added > 0
             || !removed_sites.is_empty()
-            || cross_deltas.values().any(|&net| net != 0);
+            || site_diffs.iter().any(|(&(s, t), &net)| s != t && net != 0);
         let applied = AppliedDelta {
             changed_sites: changed.into_iter().collect(),
             grown_sites: grown.into_iter().collect(),
@@ -986,7 +1013,9 @@ impl DocGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BLOCK_ROWS;
     use crate::docgraph::DocGraphBuilder;
+    use crate::generator::CampusWebConfig;
 
     fn base() -> DocGraph {
         let mut b = DocGraphBuilder::new();
@@ -1095,13 +1124,13 @@ mod tests {
         delta.add_link(DocId(0), DocId(1)).unwrap();
         delta.remove_link(DocId(0), DocId(1)).unwrap();
         let (h, _) = g.apply(&delta).unwrap();
-        assert_eq!(h.adjacency().get(0, 1), 0.0);
+        assert!(!h.has_link(DocId(0), DocId(1)));
         // Remove then add: the link survives.
         let mut delta = GraphDelta::for_graph(&g);
         delta.remove_link(DocId(0), DocId(1)).unwrap();
         delta.add_link(DocId(0), DocId(1)).unwrap();
         let (h, _) = g.apply(&delta).unwrap();
-        assert_eq!(h.adjacency().get(0, 1), 1.0);
+        assert!(h.has_link(DocId(0), DocId(1)));
     }
 
     #[test]
@@ -1315,7 +1344,7 @@ mod tests {
         assert!(!h.is_live_doc(DocId(1)));
         assert!(h.is_live_doc(DocId(0)));
         assert_eq!(h.docs_of_site(SiteId(0)), &[DocId(0), DocId(2)]);
-        assert_eq!(h.adjacency().get(0, 1), 0.0); // in-link dropped
+        assert!(!h.has_link(DocId(0), DocId(1))); // in-link dropped
         assert_eq!(h.out_degree(DocId(1)), 0); // out-links dropped
         assert_eq!(applied.shrunk_sites, vec![0]);
         assert!(applied.changed_sites.is_empty());
@@ -1444,7 +1473,7 @@ mod tests {
         d.add_link(DocId(0), DocId(1)).unwrap(); // target dies
         d.add_link(DocId(1), DocId(2)).unwrap(); // source dies
         let (h, applied) = g.apply(&d).unwrap();
-        assert_eq!(h.adjacency().get(0, 1), 0.0);
+        assert!(!h.has_link(DocId(0), DocId(1)));
         assert_eq!(h.out_degree(DocId(1)), 0);
         // Neither op produced a link_added entry.
         assert!(applied.links_added.is_empty());
@@ -1516,7 +1545,7 @@ mod tests {
         assert_eq!(remap.doc(DocId(4)), Some(DocId(3)));
         assert_eq!(dense.url(DocId(1)), g.url(DocId(2)));
         // Edges survive under the renumbering: a2 -> a0 becomes 1 -> 0.
-        assert_eq!(dense.adjacency().get(1, 0), 1.0);
+        assert!(dense.has_link(DocId(1), DocId(0)));
         // Site removal compacts the site axis too.
         let mut d2 = GraphDelta::for_graph(&h);
         d2.remove_site(SiteId(1)).unwrap();
@@ -1564,5 +1593,71 @@ mod tests {
         assert_eq!(h.site_size(SiteId(2)), 2);
         assert_eq!(h.site_size(SiteId(3)), 4);
         assert_eq!(applied.removed_docs.len(), 4);
+    }
+
+    #[test]
+    fn one_site_rewire_shares_every_untouched_block() {
+        let mut cfg = CampusWebConfig::small();
+        cfg.total_docs = 10_000;
+        cfg.n_sites = 40;
+        let g = cfg.generate().unwrap();
+        let site = SiteId(7);
+        let docs = g.docs_of_site(site);
+        let mut d = GraphDelta::for_graph(&g);
+        d.remove_link(docs[0], docs[1]).unwrap();
+        d.add_link(docs[1], docs[2]).unwrap();
+        d.add_link(docs[2], docs[0]).unwrap();
+        let (h, applied) = g.apply(&d).unwrap();
+        assert_eq!(applied.changed_sites, vec![7]);
+
+        // Only the link blocks holding an edited row were rebuilt.
+        let touched: BTreeSet<usize> = applied
+            .links_added
+            .iter()
+            .chain(&applied.links_removed)
+            .map(|(from, _)| from.index() / BLOCK_ROWS)
+            .collect();
+        assert!(!touched.is_empty() && touched.len() <= 3);
+        let (old, new) = (g.links.blocks(), h.links.blocks());
+        assert!(old.len() >= 10 * touched.len());
+        assert_eq!(old.len(), new.len());
+        for (b, (o, n)) in old.iter().zip(new).enumerate() {
+            assert_eq!(Arc::ptr_eq(o, n), !touched.contains(&b), "link block {b}");
+        }
+        // Every other column is shared outright.
+        for (o, n) in g.urls.blocks().iter().zip(h.urls.blocks()) {
+            assert!(Arc::ptr_eq(o, n));
+        }
+        for (o, n) in g.kinds.blocks().iter().zip(h.kinds.blocks()) {
+            assert!(Arc::ptr_eq(o, n));
+        }
+        assert!(Arc::ptr_eq(&g.site_of, &h.site_of));
+        for (o, n) in g.site_members.iter().zip(&h.site_members) {
+            assert!(Arc::ptr_eq(o, n));
+        }
+        // The rewire adds one intra-site link: only site 7's count row moves.
+        for s in 0..g.n_sites() {
+            let shared = std::ptr::eq(g.site_links.row(s), h.site_links.row(s));
+            assert_eq!(shared, s != 7, "site link row {s}");
+        }
+    }
+
+    #[test]
+    fn one_page_deltas_keep_the_column_block_count_bounded() {
+        let mut g = base();
+        for i in 0..1_000 {
+            let mut d = GraphDelta::for_graph(&g);
+            let p = d.add_page(SiteId(i % 2), &format!("http://p{i}/")).unwrap();
+            d.add_link(DocId(0), p).unwrap();
+            g = g.apply(&d).unwrap().0;
+        }
+        let n = g.n_docs();
+        assert_eq!(n, 1_005);
+        assert_eq!(g.urls.blocks().len(), n.div_ceil(BLOCK_ROWS));
+        assert_eq!(g.kinds.blocks().len(), n.div_ceil(BLOCK_ROWS));
+        assert_eq!(g.links.blocks().len(), n.div_ceil(BLOCK_ROWS));
+        let urls: Vec<String> = (0..n).map(|d| g.url(DocId(d)).to_string()).collect();
+        assert_eq!(g.urls, crate::blocks::CowColumn::from_vec(urls));
+        assert_eq!(g, DocGraphBuilder::from_graph(&g).build());
     }
 }

@@ -3,9 +3,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::blocks::{CowColumn, LinkRows, LinkRowsWriter};
 use crate::error::{GraphError, Result};
 use crate::ids::{DocId, SiteId};
 use crate::remap::IdRemap;
+use crate::sitegraph::SiteLinkCounts;
 use lmm_linalg::{CooMatrix, CsrMatrix};
 
 /// Classification of a generated or crawled page, used as ground truth by
@@ -47,77 +49,6 @@ impl PageKind {
     }
 }
 
-/// Append-friendly copy-on-write column: a sequence of immutable `Arc`
-/// segments. [`DocGraph::apply`](crate::delta::GraphDelta) clones the
-/// segment *pointers* and pushes one new segment per delta, so append-only
-/// deltas pay O(delta + segments) instead of O(n_docs) per apply.
-///
-/// Lookups binary-search the (tiny) offset table; iteration chains the
-/// segments in order.
-#[derive(Debug)]
-pub(crate) struct CowColumn<T> {
-    segments: Vec<Arc<Vec<T>>>,
-    /// Cumulative segment starts; `offsets.len() == segments.len() + 1`,
-    /// first entry 0, last entry the column length.
-    offsets: Vec<usize>,
-}
-
-impl<T> CowColumn<T> {
-    pub(crate) fn from_vec(v: Vec<T>) -> Self {
-        let len = v.len();
-        if len == 0 {
-            return Self {
-                segments: Vec::new(),
-                offsets: vec![0],
-            };
-        }
-        Self {
-            segments: vec![Arc::new(v)],
-            offsets: vec![0, len],
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        *self.offsets.last().expect("offsets are non-empty")
-    }
-
-    pub(crate) fn get(&self, i: usize) -> &T {
-        let seg = self.offsets.partition_point(|&o| o <= i) - 1;
-        &self.segments[seg][i - self.offsets[seg]]
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.segments.iter().flat_map(|s| s.iter())
-    }
-
-    /// A new column sharing every existing segment plus `tail` appended.
-    pub(crate) fn append(&self, tail: Vec<T>) -> Self {
-        let mut col = self.clone();
-        if !tail.is_empty() {
-            col.offsets.push(col.len() + tail.len());
-            col.segments.push(Arc::new(tail));
-        }
-        col
-    }
-}
-
-// Manual impl: the derive would demand `T: Clone`, but cloning only copies
-// the segment `Arc`s.
-impl<T> Clone for CowColumn<T> {
-    fn clone(&self) -> Self {
-        Self {
-            segments: self.segments.clone(),
-            offsets: self.offsets.clone(),
-        }
-    }
-}
-
-impl<T: PartialEq> PartialEq for CowColumn<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
 /// An immutable document-level web graph: documents with URLs, their owning
 /// sites, and deduplicated hyperlink edges.
 ///
@@ -135,18 +66,28 @@ impl<T: PartialEq> PartialEq for CowColumn<T> {
 /// and every incident link is dropped. [`DocGraph::compact_ids`] is the
 /// explicit maintenance step that densifies the id space, returning the
 /// old→new [`IdRemap`].
+///
+/// # Storage
+///
+/// Per-document columns (URLs, kinds, out-link rows) live in fixed-size
+/// copy-on-write blocks (see `blocks.rs`), and the per-site-pair link
+/// counts behind the SiteGraph are kept up to date alongside the links, so
+/// a new graph version shares everything a delta did not touch.
 #[derive(Debug, Clone)]
 pub struct DocGraph {
     pub(crate) urls: CowColumn<String>,
     pub(crate) kinds: CowColumn<PageKind>,
-    pub(crate) site_of: Vec<SiteId>,
-    pub(crate) site_names: Vec<String>,
+    pub(crate) site_of: Arc<Vec<SiteId>>,
+    pub(crate) site_names: CowColumn<String>,
     pub(crate) site_members: Vec<Arc<Vec<DocId>>>,
     /// Tombstoned document ids, ascending (usually empty).
     pub(crate) dead_docs: Arc<Vec<DocId>>,
     /// Tombstoned site ids, ascending (usually empty).
     pub(crate) dead_sites: Arc<Vec<SiteId>>,
-    pub(crate) adjacency: CsrMatrix,
+    /// Deduplicated out-link rows, one per document slot.
+    pub(crate) links: LinkRows,
+    /// Document links per ordered site pair, diagonal included.
+    pub(crate) site_links: SiteLinkCounts,
 }
 
 impl PartialEq for DocGraph {
@@ -158,7 +99,8 @@ impl PartialEq for DocGraph {
             && self.site_members == other.site_members
             && self.dead_docs == other.dead_docs
             && self.dead_sites == other.dead_sites
-            && self.adjacency == other.adjacency
+            && self.links == other.links
+            && self.site_links == other.site_links
     }
 }
 
@@ -239,7 +181,7 @@ impl DocGraph {
     /// Number of (deduplicated) hyperlink edges.
     #[must_use]
     pub fn n_links(&self) -> usize {
-        self.adjacency.nnz()
+        self.links.nnz()
     }
 
     /// URL of a document.
@@ -283,7 +225,7 @@ impl DocGraph {
     /// Panics if the id is out of bounds.
     #[must_use]
     pub fn site_name(&self, site: SiteId) -> &str {
-        &self.site_names[site.index()]
+        self.site_names.get(site.index())
     }
 
     /// Live documents of a site (ascending ids) — the paper's `V_d(s)`.
@@ -305,11 +247,23 @@ impl DocGraph {
         self.site_members[site.index()].len()
     }
 
-    /// The deduplicated 0/1 adjacency matrix of the DocGraph. Tombstoned
-    /// documents have empty rows and appear in no column.
+    /// Out-link targets of a document, ascending (raw document indices).
+    /// Tombstoned documents have no out-links and appear in no row.
+    ///
+    /// # Panics
+    /// Panics if the id is out of bounds.
     #[must_use]
-    pub fn adjacency(&self) -> &CsrMatrix {
-        &self.adjacency
+    pub fn out_links(&self, doc: DocId) -> &[usize] {
+        self.links.row(doc.index())
+    }
+
+    /// `true` when the link `from -> to` exists.
+    ///
+    /// # Panics
+    /// Panics if `from` is out of bounds.
+    #[must_use]
+    pub fn has_link(&self, from: DocId, to: DocId) -> bool {
+        self.out_links(from).binary_search(&to.index()).is_ok()
     }
 
     /// Out-degree of a document.
@@ -318,17 +272,25 @@ impl DocGraph {
     /// Panics if the id is out of bounds.
     #[must_use]
     pub fn out_degree(&self, doc: DocId) -> usize {
-        self.adjacency.row_nnz(doc.index())
+        self.out_links(doc).len()
     }
 
     /// In-degrees of all documents (one pass over the edges).
     #[must_use]
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.n_docs()];
-        for (_, dst, _) in self.adjacency.iter() {
+        for (_, dst) in self.links.iter() {
             deg[dst] += 1;
         }
         deg
+    }
+
+    /// The deduplicated 0/1 adjacency matrix, materialized in O(links) —
+    /// for flat (whole-graph) computations that need a CSR operand.
+    /// Tombstoned documents have empty rows and appear in no column.
+    #[must_use]
+    pub fn to_csr(&self) -> CsrMatrix {
+        self.links.to_csr()
     }
 
     /// `true` for documents labeled as spam-farm members, indexed by doc id.
@@ -354,10 +316,9 @@ impl DocGraph {
         }
         let mut coo = CooMatrix::new(members.len(), members.len());
         for (local, d) in members.iter().enumerate() {
-            let (cols, vals) = self.adjacency.row(d.index());
-            for (&dst, &w) in cols.iter().zip(vals) {
-                if let Some(&dst_local) = local_of.get(&dst) {
-                    coo.push(local, dst_local, w);
+            for dst in self.out_links(*d) {
+                if let Some(&dst_local) = local_of.get(dst) {
+                    coo.push(local, dst_local, 1.0);
                 }
             }
         }
@@ -370,17 +331,15 @@ impl DocGraph {
     /// Counts the links that cross site boundaries.
     #[must_use]
     pub fn cross_site_links(&self) -> usize {
-        self.adjacency
+        self.links
             .iter()
-            .filter(|&(src, dst, _)| self.site_of[src] != self.site_of[dst])
+            .filter(|&(src, dst)| self.site_of[src] != self.site_of[dst])
             .count()
     }
 
     /// Iterates over all `(from, to)` document links.
     pub fn links(&self) -> impl Iterator<Item = (DocId, DocId)> + '_ {
-        self.adjacency
-            .iter()
-            .map(|(src, dst, _)| (DocId(src), DocId(dst)))
+        self.links.iter().map(|(src, dst)| (DocId(src), DocId(dst)))
     }
 
     /// Densifies the id space: drops every tombstoned document and site
@@ -438,7 +397,7 @@ impl DocGraph {
         let mut site_members = Vec::with_capacity(next_site);
         for (s, mapped) in site_map.iter().enumerate() {
             if mapped.is_some() {
-                site_names.push(self.site_names[s].clone());
+                site_names.push(self.site_names.get(s).clone());
                 site_members.push(Arc::new(
                     self.site_members[s]
                         .iter()
@@ -447,34 +406,35 @@ impl DocGraph {
                 ));
             }
         }
-        // Adjacency rows in old order restricted to live rows: survivors
-        // keep their relative order, so the new CSR can be built directly.
-        let mut row_ptr = Vec::with_capacity(next + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.adjacency.nnz());
+        // Link rows in old order restricted to live rows: survivors keep
+        // their relative order, so the new rows are written directly.
+        let mut links = LinkRowsWriter::default();
+        let mut row = Vec::new();
         for (d, mapped) in doc_map.iter().enumerate() {
             if mapped.is_none() {
                 continue;
             }
-            let (cols, _) = self.adjacency.row(d);
-            col_idx.extend(
-                cols.iter()
+            row.clear();
+            row.extend(
+                self.links
+                    .row(d)
+                    .iter()
                     .map(|&c| doc_map[c].expect("no live row links a dead column").index()),
             );
-            row_ptr.push(col_idx.len());
+            links.push_row(&row);
         }
-        let values = vec![1.0f64; col_idx.len()];
-        let adjacency = CsrMatrix::from_raw_parts(next, next, row_ptr, col_idx, values)
-            .expect("compacted adjacency is consistent by construction");
+        let links = links.finish();
+        let site_links = SiteLinkCounts::scan(&links, &site_of, &site_members);
         let compacted = DocGraph {
             urls: CowColumn::from_vec(urls),
             kinds: CowColumn::from_vec(kinds),
-            site_of,
-            site_names,
+            site_of: Arc::new(site_of),
+            site_names: CowColumn::from_vec(site_names),
             site_members,
             dead_docs: Arc::new(Vec::new()),
             dead_sites: Arc::new(Vec::new()),
-            adjacency,
+            links,
+            site_links,
         };
         (compacted, IdRemap::new(doc_map, site_map))
     }
@@ -635,25 +595,48 @@ impl DocGraphBuilder {
     #[must_use]
     pub fn build(self) -> DocGraph {
         let n = self.urls.len();
-        let mut coo = CooMatrix::with_capacity(n, n, self.edges.len());
-        for (from, to) in &self.edges {
-            coo.push(from.index(), to.index(), 1.0);
+        // Counting sort by source row, then sort + dedup each row.
+        let mut start = vec![0usize; n + 1];
+        for (from, _) in &self.edges {
+            start[from.index() + 1] += 1;
         }
-        // Duplicate links collapse to weight 1.
-        let adjacency = coo.to_csr().map_values(|_| 1.0);
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cursor = start.clone();
+        let mut cols = vec![0usize; self.edges.len()];
+        for (from, to) in &self.edges {
+            cols[cursor[from.index()]] = to.index();
+            cursor[from.index()] += 1;
+        }
+        drop(self.edges);
+        let mut links = LinkRowsWriter::default();
+        let mut row = Vec::new();
+        for r in 0..n {
+            row.clear();
+            row.extend_from_slice(&cols[start[r]..start[r + 1]]);
+            row.sort_unstable();
+            // Duplicate links collapse to one edge.
+            row.dedup();
+            links.push_row(&row);
+        }
+        let links = links.finish();
         let mut site_members = vec![Vec::new(); self.site_names.len()];
         for (doc, site) in self.site_of.iter().enumerate() {
             site_members[site.index()].push(DocId(doc));
         }
+        let site_members: Vec<Arc<Vec<DocId>>> = site_members.into_iter().map(Arc::new).collect();
+        let site_links = SiteLinkCounts::scan(&links, &self.site_of, &site_members);
         DocGraph {
             urls: CowColumn::from_vec(self.urls),
             kinds: CowColumn::from_vec(self.kinds),
-            site_of: self.site_of,
-            site_names: self.site_names,
-            site_members: site_members.into_iter().map(Arc::new).collect(),
+            site_of: Arc::new(self.site_of),
+            site_names: CowColumn::from_vec(self.site_names),
+            site_members,
             dead_docs: Arc::new(Vec::new()),
             dead_sites: Arc::new(Vec::new()),
-            adjacency,
+            links,
+            site_links,
         }
     }
 }
@@ -661,6 +644,7 @@ impl DocGraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::BLOCK_ROWS;
 
     fn two_site_graph() -> DocGraph {
         let mut b = DocGraphBuilder::new();
@@ -712,7 +696,7 @@ mod tests {
         b.add_link(d0, d1).unwrap();
         let g = b.build();
         assert_eq!(g.n_links(), 1);
-        assert_eq!(g.adjacency().get(0, 1), 1.0);
+        assert!(g.has_link(d0, d1));
     }
 
     #[test]
@@ -788,6 +772,12 @@ mod tests {
     fn links_iterator_matches_adjacency() {
         let g = two_site_graph();
         assert_eq!(g.links().count(), g.n_links());
+        let csr = g.to_csr();
+        assert_eq!(csr.nnz(), g.n_links());
+        for (from, to) in g.links() {
+            assert_eq!(csr.get(from.index(), to.index()), 1.0);
+            assert!(g.has_link(from, to));
+        }
     }
 
     #[test]
@@ -806,8 +796,8 @@ mod tests {
         b.add_link(DocId(1), DocId(0)).unwrap();
         let edited = b.build();
         assert_eq!(edited.n_links(), g.n_links()); // one removed, one added
-        assert_eq!(edited.adjacency().get(0, 1), 0.0);
-        assert_eq!(edited.adjacency().get(1, 0), 1.0);
+        assert!(!edited.has_link(DocId(0), DocId(1)));
+        assert!(edited.has_link(DocId(1), DocId(0)));
         // Site structure is preserved.
         assert_eq!(edited.n_sites(), g.n_sites());
         assert_eq!(edited.site_name(SiteId(0)), g.site_name(SiteId(0)));
@@ -822,20 +812,19 @@ mod tests {
 
     #[test]
     fn cow_column_appends_share_segments() {
-        let base = CowColumn::from_vec(vec![1, 2, 3]);
-        let grown = base.append(vec![4, 5]);
-        assert_eq!(grown.len(), 5);
-        assert_eq!(*grown.get(0), 1);
-        assert_eq!(*grown.get(4), 5);
-        assert_eq!(
-            grown.iter().copied().collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5]
-        );
-        // The first segment is shared, not cloned.
-        assert!(Arc::ptr_eq(&base.segments[0], &grown.segments[0]));
-        // Empty appends add no segment.
+        let n = BLOCK_ROWS + 3;
+        let base = CowColumn::from_vec((0..n).collect::<Vec<_>>());
+        let grown = base.append([n, n + 1]);
+        assert_eq!(grown.len(), n + 2);
+        assert_eq!(*grown.get(0), 0);
+        assert_eq!(*grown.get(n + 1), n + 1);
+        assert!(grown.iter().copied().eq(0..n + 2));
+        // The full first block is shared, the partial one was topped up.
+        assert!(Arc::ptr_eq(&base.blocks()[0], &grown.blocks()[0]));
+        assert_eq!(grown.blocks().len(), 2);
+        // Empty appends copy nothing.
         let same = base.append(Vec::new());
-        assert_eq!(same.segments.len(), base.segments.len());
+        assert!(Arc::ptr_eq(&base.blocks()[1], &same.blocks()[1]));
         assert_eq!(base, base.clone());
     }
 

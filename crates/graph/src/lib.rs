@@ -48,6 +48,7 @@
 //! # }
 //! ```
 
+mod blocks;
 pub mod crawler;
 pub mod delta;
 pub mod docgraph;

@@ -9,10 +9,21 @@
 //! Unlike BlockRank's block graph, these weights depend only on the link
 //! counts, never on a prior local-rank computation, so SiteRank and the
 //! local DocRanks can be computed **in parallel** (Section 3.2).
+//!
+//! Because the weights are plain counts, a [`DocGraph`] *maintains* them
+//! rather than rescanning its links: building a graph counts every ordered
+//! site pair once (diagonal included, for `include_self_loops`), and
+//! [`DocGraph::apply`] patches only the pairs a delta's link diff touches.
+//! [`SiteGraph::from_doc_graph`] therefore reads O(sites + SiteLinks)
+//! stored counts, never the document links.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::blocks::LinkRows;
 use crate::docgraph::DocGraph;
-use crate::ids::SiteId;
-use lmm_linalg::{CooMatrix, CsrMatrix, LinalgError, StochasticMatrix};
+use crate::ids::{DocId, SiteId};
+use lmm_linalg::{CsrMatrix, LinalgError, StochasticMatrix};
 
 /// How SiteLink multiplicities map to edge weights.
 ///
@@ -67,25 +78,32 @@ pub struct SiteGraph {
 }
 
 impl SiteGraph {
-    /// Derives the SiteGraph from a DocGraph (Section 3.2, step 2).
+    /// Derives the SiteGraph from a DocGraph (Section 3.2, step 2), in
+    /// O(sites + SiteLinks) from the graph's maintained link counts.
     #[must_use]
     pub fn from_doc_graph(doc_graph: &DocGraph, options: &SiteGraphOptions) -> Self {
         let ns = doc_graph.n_sites();
-        let mut coo = CooMatrix::new(ns, ns);
-        let site_of = doc_graph.site_assignments();
-        for (src, dst, _) in doc_graph.adjacency().iter() {
-            let (s, t) = (site_of[src], site_of[dst]);
-            if s == t && !options.include_self_loops {
-                continue;
+        let mut row_ptr = Vec::with_capacity(ns + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for s in 0..ns {
+            for &(t, count) in doc_graph.site_links.row(s) {
+                if s == t && !options.include_self_loops {
+                    continue;
+                }
+                let count = count as f64;
+                col_idx.push(t);
+                values.push(match options.weighting {
+                    SiteLinkWeighting::LinkCount => count,
+                    SiteLinkWeighting::Uniform => 1.0,
+                    SiteLinkWeighting::LogCount => (1.0 + count).ln(),
+                });
             }
-            coo.push(s.index(), t.index(), 1.0);
+            row_ptr.push(col_idx.len());
         }
-        let counts = coo.to_csr();
-        let weights = match options.weighting {
-            SiteLinkWeighting::LinkCount => counts,
-            SiteLinkWeighting::Uniform => counts.map_values(|_| 1.0),
-            SiteLinkWeighting::LogCount => counts.map_values(|c| (1.0 + c).ln()),
-        };
+        let weights = CsrMatrix::from_raw_parts(ns, ns, row_ptr, col_idx, values)
+            .expect("stored site link counts are square, ascending and in range");
         Self {
             weights,
             options: *options,
@@ -156,6 +174,87 @@ impl SiteGraph {
 #[must_use]
 pub fn ranking_site_graph(doc_graph: &DocGraph, options: &SiteGraphOptions) -> SiteGraph {
     SiteGraph::from_doc_graph(doc_graph, options)
+}
+
+/// Document links per ordered site pair — the counts behind every
+/// SiteLink weight, diagonal (intra-site totals) included. Row `s` lists
+/// `(t, count)` by ascending `t`, with no zero counts.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct SiteLinkCounts {
+    rows: Vec<Arc<Vec<(usize, usize)>>>,
+}
+
+impl SiteLinkCounts {
+    /// Counts every link once, walking each site's members.
+    pub(crate) fn scan(
+        links: &LinkRows,
+        site_of: &[SiteId],
+        site_members: &[Arc<Vec<DocId>>],
+    ) -> Self {
+        let mut count = vec![0usize; site_members.len()];
+        let mut hit: Vec<usize> = Vec::new();
+        let rows = site_members
+            .iter()
+            .map(|members| {
+                for d in members.iter() {
+                    for &dst in links.row(d.index()) {
+                        let t = site_of[dst].index();
+                        if count[t] == 0 {
+                            hit.push(t);
+                        }
+                        count[t] += 1;
+                    }
+                }
+                hit.sort_unstable();
+                Arc::new(
+                    hit.drain(..)
+                        .map(|t| (t, std::mem::take(&mut count[t])))
+                        .collect(),
+                )
+            })
+            .collect();
+        Self { rows }
+    }
+
+    /// The `(target site, count)` entries of site `s`.
+    pub(crate) fn row(&self, s: usize) -> &[(usize, usize)] {
+        &self.rows[s]
+    }
+
+    /// A new version over `n_sites` sites with the net per-pair changes in
+    /// `diffs` folded in; untouched rows are shared.
+    ///
+    /// # Panics
+    /// Panics if a change would drive a count below zero — a diff that
+    /// does not come from this graph's links.
+    pub(crate) fn patch(&self, n_sites: usize, diffs: &BTreeMap<(usize, usize), i64>) -> Self {
+        let mut rows = self.rows.clone();
+        rows.resize_with(n_sites, Arc::default);
+        let mut diffs = diffs.iter().filter(|(_, &d)| d != 0).peekable();
+        while let Some(&(&(s, _), _)) = diffs.peek() {
+            let old = &rows[s];
+            let mut row = Vec::with_capacity(old.len() + 1);
+            let mut old_entries = old.iter().copied().peekable();
+            while let Some((&(_, t), &d)) = diffs.next_if(|((src, _), _)| *src == s) {
+                while let Some(entry) = old_entries.next_if(|&(ot, _)| ot < t) {
+                    row.push(entry);
+                }
+                let base = old_entries
+                    .next_if(|&(ot, _)| ot == t)
+                    .map_or(0, |(_, c)| c);
+                let count = i64::try_from(base)
+                    .ok()
+                    .and_then(|b| usize::try_from(b + d).ok())
+                    .expect("site link counts never go negative");
+                if count > 0 {
+                    row.push((t, count));
+                }
+            }
+            row.extend(old_entries);
+            rows[s] = Arc::new(row);
+        }
+        Self { rows }
+    }
 }
 
 #[cfg(test)]

@@ -197,7 +197,9 @@ pub fn workspace() -> LintConfig {
             "crates/core/src/",
             "crates/linalg/src/",
             "crates/rank/src/",
+            "crates/graph/src/blocks.rs",
             "crates/graph/src/delta.rs",
+            "crates/graph/src/sitegraph.rs",
         ],
         det_banned: &["Instant::now", "SystemTime", "RandomState"],
         wire_file: "crates/cluster/src/wire.rs",

@@ -471,8 +471,8 @@ fn run_centralized(graph: &DocGraph, config: &DistributedConfig) -> Result<Distr
     let t0 = Instant::now();
     let site_of = graph.site_assignments();
     let mut edges_per_site = vec![0usize; n_sites];
-    for (src, _, _) in graph.adjacency().iter() {
-        edges_per_site[site_of[src].index()] += 1;
+    for (src, _) in graph.links() {
+        edges_per_site[site_of[src.index()].index()] += 1;
     }
     for (s, &n_edges) in edges_per_site.iter().enumerate() {
         net.send(
@@ -495,7 +495,7 @@ fn run_centralized(graph: &DocGraph, config: &DistributedConfig) -> Result<Distr
     pr.damping(config.local_damping)
         .tol(config.power.tol)
         .max_iters(config.power.max_iters);
-    let result = pr.run_adjacency(graph.adjacency().clone())?;
+    let result = pr.run_adjacency(graph.to_csr())?;
     stats.push(PhaseStats {
         name: "central pagerank",
         traffic: net.take_stats(),

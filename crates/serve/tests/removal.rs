@@ -199,9 +199,7 @@ fn shrink_without_siterank_rerun_stays_sites_staleness() {
         .skip(1) // keep the root
         .find(|&&d| {
             let intra_out = base
-                .adjacency()
-                .row(d.index())
-                .0
+                .out_links(d)
                 .iter()
                 .all(|&t| base.site_of(DocId(t)) == SiteId(2));
             let intra_in = base

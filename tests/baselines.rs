@@ -23,7 +23,7 @@ fn blockrank_refinement_recovers_flat_pagerank() {
     let graph = campus();
     let labels: Vec<usize> = graph.site_assignments().iter().map(|s| s.index()).collect();
     let block = blockrank(
-        graph.adjacency(),
+        &graph.to_csr(),
         &labels,
         graph.n_sites(),
         &PageRankConfig::default(),
@@ -40,7 +40,7 @@ fn blockrank_approximation_correlates_with_layered() {
     let graph = campus();
     let labels: Vec<usize> = graph.site_assignments().iter().map(|s| s.index()).collect();
     let block = blockrank(
-        graph.adjacency(),
+        &graph.to_csr(),
         &labels,
         graph.n_sites(),
         &PageRankConfig::default(),
@@ -57,7 +57,7 @@ fn hits_authorities_are_hijacked_by_the_farm() {
     // interlinked farm even harder than PageRank — the instability the
     // paper cites when dismissing HITS.
     let graph = campus();
-    let h = hits(graph.adjacency(), &HitsConfig::default()).expect("hits");
+    let h = hits(&graph.to_csr(), &HitsConfig::default()).expect("hits");
     let spam_share = metrics::labeled_share_at_k(&h.authorities, &graph.spam_labels(), 15);
     let flat = flat_pagerank(&graph, 0.85, &PowerOptions::with_tol(1e-10), 0).expect("flat");
     let pr_share = metrics::labeled_share_at_k(&flat.ranking, &graph.spam_labels(), 15);
@@ -76,9 +76,9 @@ fn layered_beats_all_baselines_on_spam_resistance() {
 
     let layered = layered_doc_rank(&graph, &LayeredRankConfig::default()).expect("layered");
     let flat = flat_pagerank(&graph, 0.85, &PowerOptions::with_tol(1e-10), 0).expect("flat");
-    let h = hits(graph.adjacency(), &HitsConfig::default()).expect("hits");
+    let h = hits(&graph.to_csr(), &HitsConfig::default()).expect("hits");
     let block = blockrank(
-        graph.adjacency(),
+        &graph.to_csr(),
         &labels,
         graph.n_sites(),
         &PageRankConfig::default(),
